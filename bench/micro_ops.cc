@@ -12,11 +12,9 @@
 #include "src/mobility/mobility_model.h"
 #include "src/mobility/waypoint.h"
 #include "src/net/packet.h"
-#include "src/net/packet_pool.h"
 #include "src/phy/channel.h"
 #include "src/phy/neighbor_index.h"
 #include "src/phy/radio.h"
-#include "src/sim/event_queue.h"
 #include "src/prof/profiler.h"
 #include "src/scenario/scenario.h"
 #include "src/sim/rng.h"
@@ -394,31 +392,15 @@ BENCHMARK(BM_SchedulerDispatchProfiled)->Arg(100000);
 
 // --- Engine-core hot-path machinery (PR 10) -------------------------------
 
-// Packet allocation through the pool vs the generic heap. Same call site
-// (Packet::make), only the process-wide pool switch differs.
-void BM_PacketMakePooled(benchmark::State& state) {
-  const bool saved = net::PacketPool::enabled();
-  net::PacketPool::setEnabled(true);
+// Packet allocation (one make_shared) plus its release.
+void BM_PacketMake(benchmark::State& state) {
   for (auto _ : state) {
     auto p = net::Packet::make();
     benchmark::DoNotOptimize(p);
   }
-  net::PacketPool::setEnabled(saved);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_PacketMakePooled);
-
-void BM_PacketMakeHeap(benchmark::State& state) {
-  const bool saved = net::PacketPool::enabled();
-  net::PacketPool::setEnabled(false);
-  for (auto _ : state) {
-    auto p = net::Packet::make();
-    benchmark::DoNotOptimize(p);
-  }
-  net::PacketPool::setEnabled(saved);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PacketMakeHeap);
+BENCHMARK(BM_PacketMake);
 
 // One neighborhood query against N radios: the full scan is O(N); the
 // grid visits only the candidate block around the transmitter.
@@ -473,12 +455,12 @@ void BM_NeighborQueryGrid(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborQueryGrid)->Arg(50)->Arg(500);
 
-// Scheduler throughput on each event-queue implementation. The workload
-// mixes ties and spread-out timers like a real MAC/timer mix.
-void schedulerQueueBench(benchmark::State& state, sim::EventQueueKind kind) {
+// Scheduler throughput on the calendar queue. The workload mixes ties and
+// spread-out timers like a real MAC/timer mix.
+void BM_SchedulerCalendarQueue(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    sim::Scheduler sched(kind);
+    sim::Scheduler sched;
     std::uint64_t sum = 0;
     for (int i = 0; i < n; ++i) {
       sched.scheduleAt(sim::Time::micros((i * 7) % (n / 4 + 1)),
@@ -488,15 +470,6 @@ void schedulerQueueBench(benchmark::State& state, sim::EventQueueKind kind) {
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * n);
-}
-
-void BM_SchedulerHeapQueue(benchmark::State& state) {
-  schedulerQueueBench(state, sim::EventQueueKind::kHeap);
-}
-BENCHMARK(BM_SchedulerHeapQueue)->Arg(100000);
-
-void BM_SchedulerCalendarQueue(benchmark::State& state) {
-  schedulerQueueBench(state, sim::EventQueueKind::kCalendar);
 }
 BENCHMARK(BM_SchedulerCalendarQueue)->Arg(100000);
 

@@ -8,24 +8,15 @@
 // or, with no trace at hand, `./trace_inspector --demo` runs a small
 // congested scenario, writes a trace, and inspects it in one go.
 //
-// `./trace_inspector --bench BENCH_x.json` instead pretty-prints a
-// perf-baseline report (see bench/perf_baseline and src/prof/bench_report.h).
-//
-// `./trace_inspector <trace.jsonl> --causal <uid>` prints the causal chain
-// of one packet (a passthrough to tools/manet_trace --chain; see
-// src/telemetry/causal.h for the full analysis surface).
+// A BENCH report is read with tools/manet_prof, one packet's causal chain
+// with `tools/manet_trace --chain <uid>`.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/prof/bench_report.h"
 #include "src/scenario/scenario.h"
-#include "src/telemetry/causal.h"
 #include "src/telemetry/trace_reader.h"
 
 using namespace manet;
@@ -109,118 +100,23 @@ std::string writeDemoTrace(bool withFaults) {
   return path;
 }
 
-int inspectBench(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  std::string err;
-  const auto report = prof::parseBenchReport(ss.str(), &err);
-  if (!report) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), err.c_str());
-    return 1;
-  }
-
-  std::printf("%s: label \"%s\", schema v%d, %zu scenarios\n\n", path.c_str(),
-              report->label.c_str(), report->schemaVersion,
-              report->scenarios.size());
-  for (const prof::BenchScenario& s : report->scenarios) {
-    std::printf("%s\n", s.name.c_str());
-    std::printf("  wall (median of %d): %.3f s   [", s.repetitions,
-                s.wallSecondsMedian);
-    for (std::size_t i = 0; i < s.wallSecondsAll.size(); ++i) {
-      std::printf("%s%.3f", i > 0 ? ", " : "", s.wallSecondsAll[i]);
-    }
-    std::printf("]\n");
-    std::printf("  throughput: %.0f events/s  (%llu events)\n",
-                s.eventsPerSecMedian,
-                static_cast<unsigned long long>(s.events));
-    std::printf("  peak RSS %.1f MB, scheduler queue peak %llu\n",
-                static_cast<double>(s.peakRssBytes) / (1024.0 * 1024.0),
-                static_cast<unsigned long long>(s.schedQueuePeak));
-    if (!s.categorySelfSeconds.empty()) {
-      double total = 0.0;
-      for (const auto& [name, secs] : s.categorySelfSeconds) total += secs;
-      std::printf("  where the time went:\n");
-      for (const auto& [name, secs] : s.categorySelfSeconds) {
-        std::printf("    %-10s %8.4f s  %5.1f%%\n", name.c_str(), secs,
-                    total > 0.0 ? 100.0 * secs / total : 0.0);
-      }
-    }
-    // Schema v2 only; v1 reports (BENCH_seed.json) simply skip this block.
-    if (s.hasHotspot) {
-      std::printf("  hottest nodes (activations / frames heard @ x,y):\n");
-      const std::size_t shown = std::min<std::size_t>(s.topNodes.size(), 5);
-      for (std::size_t i = 0; i < shown; ++i) {
-        const prof::BenchTopNode& t = s.topNodes[i];
-        std::printf("    node %3u: %8llu / %6llu @ (%.0f, %.0f)\n", t.node,
-                    static_cast<unsigned long long>(t.activations),
-                    static_cast<unsigned long long>(t.framesHeard), t.x,
-                    t.y);
-      }
-      std::printf("  fan-out: %llu tx, %.1f%% of examined radios in range, "
-                  "p50/p90/p99 %.1f/%.1f/%.1f\n",
-                  static_cast<unsigned long long>(s.fanout.transmissions),
-                  s.fanout.radiosExamined > 0
-                      ? 100.0 *
-                            static_cast<double>(s.fanout.radiosInRange) /
-                            static_cast<double>(s.fanout.radiosExamined)
-                      : 0.0,
-                  s.fanout.p50, s.fanout.p90, s.fanout.p99);
-      std::printf("  queue: depth peak %llu mean %.1f, horizon p50 %.0f ns "
-                  "p99 %.0f ns\n",
-                  static_cast<unsigned long long>(s.queue.depthPeak),
-                  s.queue.depthMean, s.queue.horizonP50Ns,
-                  s.queue.horizonP99Ns);
-      std::printf("  allocations:");
-      for (std::size_t i = 0; i < prof::kNumAllocSites; ++i) {
-        std::printf(" %s=%llu",
-                    prof::toString(static_cast<prof::AllocSite>(i)),
-                    static_cast<unsigned long long>(s.alloc[i].count));
-      }
-      std::printf("   (full histograms: tools/manet_prof)\n");
-    } else {
-      std::printf("  (schema v1: no hotspot section)\n");
-    }
-    std::printf("\n");
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string path;
-  std::uint64_t causalUid = 0;
-  if (argc == 3 && std::string(argv[1]) == "--bench") {
-    return inspectBench(argv[2]);
-  } else if (argc == 2 && std::string(argv[1]) == "--demo") {
+  if (argc == 2 && std::string(argv[1]) == "--demo") {
     path = writeDemoTrace(false);
   } else if (argc == 2 && std::string(argv[1]) == "--demo-faults") {
     path = writeDemoTrace(true);
-  } else if (argc == 4 && std::string(argv[2]) == "--causal") {
-    path = argv[1];
-    causalUid = std::strtoull(argv[3], nullptr, 10);
-    if (causalUid == 0) {
-      std::fprintf(stderr, "--causal: '%s' is not a packet uid\n", argv[3]);
-      return 2;
-    }
   } else if (argc == 2 && std::string(argv[1]) != "--help" &&
              std::string(argv[1]) != "-h") {
     path = argv[1];
   } else {
     std::fprintf(
         stderr,
-        "usage: %s <trace.jsonl>                summarise a JSONL trace\n"
-        "       %s <trace.jsonl> --causal <uid> print one packet's causal\n"
-        "                                       chain (same output as\n"
-        "                                       manet_trace --chain <uid>)\n"
-        "       %s --demo | --demo-faults       run a demo scenario first\n"
-        "       %s --bench <BENCH_x.json>       pretty-print a perf report\n",
-        argv[0], argv[0], argv[0], argv[0]);
+        "usage: %s <trace.jsonl>           summarise a JSONL trace\n"
+        "       %s --demo | --demo-faults  run a demo scenario first\n",
+        argv[0], argv[0]);
     return 2;
   }
 
@@ -237,18 +133,6 @@ int main(int argc, char** argv) {
     }
   }
   const std::vector<std::string>* lines = &checked->lines;
-
-  if (causalUid != 0) {
-    const telemetry::CausalIndex idx =
-        telemetry::CausalIndex::fromLines(*lines);
-    if (idx.packetRecords(causalUid).empty()) {
-      std::fprintf(stderr, "no records for packet uid %llu\n",
-                   static_cast<unsigned long long>(causalUid));
-      return 1;
-    }
-    std::fputs(idx.renderChain(causalUid).c_str(), stdout);
-    return 0;
-  }
 
   std::map<std::string, std::uint64_t> eventTotals;
   std::map<std::string, std::uint64_t> dropTotals;

@@ -228,7 +228,7 @@ void DsrAgent::handleData(const net::PacketPtr& p) {
   cache_->markLinksUsed(hops, sched_.now());
   if (cfg_.widerErrorNotification) {
     for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-      forwardedLinks_[net::LinkId{hops[i], hops[i + 1]}] = sched_.now();
+      forwardedLinks_.insert(net::LinkId{hops[i], hops[i + 1]});
     }
   }
 

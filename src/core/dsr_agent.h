@@ -207,7 +207,7 @@ class DsrAgent final : public net::RoutingAgent {
   /// error rebroadcast predicate ("that route was used before in the
   /// packets forwarded by the node"). Kept only with wider error
   /// notification on.
-  std::unordered_map<net::LinkId, sim::Time, net::LinkIdHash> forwardedLinks_;
+  std::unordered_set<net::LinkId, net::LinkIdHash> forwardedLinks_;
   /// Gratuitous-reply rate limiting: (routeSource -> last grat reply time).
   std::unordered_map<net::NodeId, sim::Time> lastGratReply_;
   /// Most recent route error this node originated or received as a source,

@@ -9,7 +9,6 @@ namespace manet::net {
 Network::Network(const NetworkConfig& cfg, std::uint64_t seed)
     : cfg_(cfg),
       rng_(seed),
-      sched_(cfg.eventQueue),
       channel_(sched_, cfg.phy),
       oracle_(channel_.neighborIndex(), cfg.phy.rangeMeters) {
   tracer_.bindClock(&sched_);

@@ -28,11 +28,6 @@ struct NetworkConfig {
   Protocol protocol = Protocol::kDsr;
   core::DsrConfig dsr;
   aodv::AodvConfig aodv;
-  /// Pending-event set for the scheduler; both kinds dispatch in identical
-  /// (time, id) order, so this is purely a performance knob. The calendar
-  /// queue fits simulation workloads (dense near-future MAC events); a
-  /// bare Scheduler outside Network still defaults to the heap.
-  sim::EventQueueKind eventQueue = sim::EventQueueKind::kCalendar;
 };
 
 class Network {

@@ -2,7 +2,6 @@
 
 #include <unordered_set>
 
-#include "src/net/packet_pool.h"
 #include "src/util/thread_annotations.h"
 
 namespace manet::net {
@@ -109,12 +108,7 @@ RouteProvenance RouteProvenance::next(RouteOrigin origin, NodeId insertedBy,
 void RouteProvenance::resetIdCounter() { t_nextProvId = 1; }
 
 std::shared_ptr<Packet> Packet::make() {
-  // The pool gate lives only here (and in clone): allocate_shared embeds
-  // the allocator in the control block, so whichever path allocated a
-  // packet also frees it — no flag check on destruction.
-  std::shared_ptr<Packet> p =
-      PacketPool::enabled() ? std::allocate_shared<Packet>(PoolAllocator<Packet>{})
-                            : std::make_shared<Packet>();
+  auto p = std::make_shared<Packet>();
   p->uid = t_nextUid++;
   return p;
 }
@@ -122,10 +116,7 @@ std::shared_ptr<Packet> Packet::make() {
 void Packet::resetUidCounter() { t_nextUid = 1; }
 
 std::shared_ptr<Packet> clone(const Packet& p) {
-  // uid preserved: same logical packet
-  return PacketPool::enabled()
-             ? std::allocate_shared<Packet>(PoolAllocator<Packet>{}, p)
-             : std::make_shared<Packet>(p);
+  return std::make_shared<Packet>(p);  // uid preserved: same logical packet
 }
 
 bool routeContainsLink(std::span<const NodeId> hops, LinkId link) {

@@ -6,13 +6,6 @@
 
 namespace manet::phy {
 
-PhyConfig PhyConfig::fromEnv() { return fromEnv(PhyConfig{}); }
-
-PhyConfig PhyConfig::fromEnv(PhyConfig base) {
-  base.neighborIndex = neighborIndexKindFromEnv(base.neighborIndex);
-  return base;
-}
-
 sim::Time Channel::transmit(Radio& sender, const mac::Frame& f) {
   const sim::Time now = sched_.now();
   const sim::Time dur = txDuration(f.bytes());

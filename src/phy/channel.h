@@ -44,10 +44,6 @@ struct PhyConfig {
   double indexSpeedBound = 50.0;
   /// How stale grid buckets may get before a query triggers a re-bucket.
   sim::Time indexRefreshPeriod = sim::Time::seconds(1);
-
-  /// `base` with the MANET_PHY_INDEX (scan|grid) override applied.
-  static PhyConfig fromEnv();
-  static PhyConfig fromEnv(PhyConfig base);
 };
 
 class Radio;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "src/phy/radio.h"
 #include "src/prof/profiler.h"
@@ -18,19 +16,6 @@ const char* toString(NeighborIndexKind k) {
       return "grid";
   }
   return "?";
-}
-
-NeighborIndexKind neighborIndexKindFromString(const char* s,
-                                              NeighborIndexKind fallback) {
-  if (s == nullptr) return fallback;
-  if (std::strcmp(s, "scan") == 0) return NeighborIndexKind::kScan;
-  if (std::strcmp(s, "grid") == 0) return NeighborIndexKind::kGrid;
-  return fallback;
-}
-
-NeighborIndexKind neighborIndexKindFromEnv(NeighborIndexKind fallback) {
-  const char* v = std::getenv("MANET_PHY_INDEX");  // NOLINT(concurrency-mt-unsafe)
-  return neighborIndexKindFromString(v, fallback);
 }
 
 // ------------------------------------------------------------ base class

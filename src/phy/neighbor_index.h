@@ -66,11 +66,6 @@ class RadioVisitor {
 enum class NeighborIndexKind : std::uint8_t { kScan, kGrid };
 
 const char* toString(NeighborIndexKind k);
-/// Parse "scan" / "grid"; anything else returns `fallback`.
-NeighborIndexKind neighborIndexKindFromString(const char* s,
-                                              NeighborIndexKind fallback);
-/// MANET_PHY_INDEX environment override (scan|grid), else `fallback`.
-NeighborIndexKind neighborIndexKindFromEnv(NeighborIndexKind fallback);
 
 class NeighborIndex {
  public:

@@ -65,7 +65,7 @@ Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg) {
   // filter; random waypoint never exceeds the configured maxSpeed.
   cfg_.phy.indexSpeedBound = std::max(cfg_.phy.indexSpeedBound, cfg_.maxSpeed);
   net::NetworkConfig netCfg{cfg_.phy, cfg.mac, cfg.protocol, cfg.dsr,
-                            cfg.aodv, cfg_.eventQueue};
+                            cfg.aodv};
   // Seed the network (MAC jitter, DSR jitter) from the mobility seed so a
   // different replication is a genuinely different random world, while the
   // traffic pattern below stays fixed across replications.

@@ -3,38 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
 #include <limits>
-#include <stdexcept>
-#include <string>
 
 namespace manet::sim {
 
-const char* toString(EventQueueKind k) {
-  switch (k) {
-    case EventQueueKind::kHeap:
-      return "heap";
-    case EventQueueKind::kCalendar:
-      return "calendar";
-  }
-  return "?";
-}
-
-EventQueueKind eventQueueKindFromString(std::string_view s) {
-  if (s == "heap") return EventQueueKind::kHeap;
-  if (s == "calendar" || s == "cal") return EventQueueKind::kCalendar;
-  throw std::invalid_argument("unknown event queue kind '" + std::string(s) +
-                              "' (want heap|calendar)");
-}
-
-EventQueueKind eventQueueKindFromEnv(EventQueueKind fallback) {
-  const char* v = std::getenv("MANET_EVENT_QUEUE");  // NOLINT(concurrency-mt-unsafe)
-  if (v == nullptr || v[0] == '\0') return fallback;
-  return eventQueueKindFromString(v);
-}
-
 namespace {
-/// Heap comparator: the entry popped first is the minimum by (at, id).
+/// Overflow-heap comparator: the entry popped first is the minimum by
+/// (at, id).
 struct Later {
   bool operator()(const EventEntry& a, const EventEntry& b) const {
     if (a.at != b.at) return a.at > b.at;
@@ -42,25 +17,6 @@ struct Later {
   }
 };
 }  // namespace
-
-// ------------------------------------------------------- HeapEventQueue
-
-void HeapEventQueue::push(EventEntry e) {
-  heap_.push_back(std::move(e));
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-}
-
-const EventEntry* HeapEventQueue::peek() {
-  return heap_.empty() ? nullptr : &heap_.front();
-}
-
-EventEntry HeapEventQueue::pop() {
-  assert(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  EventEntry e = std::move(heap_.back());
-  heap_.pop_back();
-  return e;
-}
 
 // --------------------------------------------------- CalendarEventQueue
 //
@@ -182,18 +138,6 @@ EventEntry CalendarEventQueue::pop() {
   cached_.valid = false;
   curBucket_ = out.at.ns() / kBucketWidthNs;
   return out;
-}
-
-// --------------------------------------------------------------- factory
-
-std::unique_ptr<EventQueue> makeEventQueue(EventQueueKind kind) {
-  switch (kind) {
-    case EventQueueKind::kHeap:
-      return std::make_unique<HeapEventQueue>();
-    case EventQueueKind::kCalendar:
-      return std::make_unique<CalendarEventQueue>();
-  }
-  return std::make_unique<HeapEventQueue>();
 }
 
 }  // namespace manet::sim

@@ -1,32 +1,24 @@
-// Pluggable pending-event set for the Scheduler.
+// The Scheduler's pending-event set: Brown's calendar queue.
 //
-// The Scheduler's correctness contract lives here, not in any particular
-// data structure: peek()/pop() must yield entries in strictly ascending
-// (at, id) order — time first, then scheduling order among equal
-// timestamps (the FIFO tie-break every determinism test depends on). Any
-// implementation honoring that order produces byte-identical runs, which
-// is what lets the queue be selected by config instead of being baked in.
+// The Scheduler's correctness contract lives here: peek()/pop() yield
+// entries in strictly ascending (at, id) order — time first, then
+// scheduling order among equal timestamps (the FIFO tie-break every
+// determinism test depends on).
 //
-// Two implementations ship:
-//  * HeapEventQueue     — binary min-heap, O(log n) per op. The safe
-//    default for a bare Scheduler: no tuning knobs, good at any size.
-//  * CalendarEventQueue — Brown's calendar queue: a bucket wheel over the
-//    near future plus a min-heap overflow for far-future timers. The
-//    simulator's event-horizon histogram (prof::recordHorizon) is bimodal —
-//    microsecond-scale MAC/PHY events dominate, with a thin tail of
-//    second-scale protocol timers — so almost every event lands in the
-//    wheel and enqueue/dequeue are O(1) amortized. Scenario runs select it
-//    by default (ScenarioConfig::eventQueue / MANET_EVENT_QUEUE=heap|cal).
+// A bucket wheel covers the near future and a min-heap overflow holds
+// far-future timers. The simulator's event-horizon histogram
+// (prof::recordHorizon) is bimodal — microsecond-scale MAC/PHY events
+// dominate, with a thin tail of second-scale protocol timers — so almost
+// every event lands in the wheel and enqueue/dequeue are O(1) amortized.
 //
-// Determinism note for the calendar queue: bucket placement is a pure
-// function of the entry's timestamp, min-selection within a bucket breaks
-// ties by id, and equal timestamps always share a bucket — so its pop
-// sequence is identical to the heap's, not merely equivalent.
+// Determinism: bucket placement is a pure function of the entry's
+// timestamp, min-selection within a bucket breaks ties by id, and equal
+// timestamps always share a bucket — so the pop sequence is exactly that
+// of a binary heap ordered by (at, id). tests/sim keeps such a heap as the
+// ordering oracle.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string_view>
 #include <vector>
 
 #include "src/prof/profiler.h"
@@ -46,53 +38,15 @@ struct EventEntry {
   prof::Category cat = prof::Category::kOther;
 };
 
-enum class EventQueueKind : std::uint8_t {
-  kHeap,
-  kCalendar,
-};
-
-const char* toString(EventQueueKind k);
-/// Parse "heap" / "calendar"; throws std::invalid_argument otherwise.
-EventQueueKind eventQueueKindFromString(std::string_view s);
-/// MANET_EVENT_QUEUE override, else `fallback`.
-EventQueueKind eventQueueKindFromEnv(EventQueueKind fallback);
-
-/// Minimum-(at, id) priority queue of EventEntry.
-class EventQueue {
- public:
-  virtual ~EventQueue() = default;
-
-  virtual void push(EventEntry e) = 0;
-  /// The minimum entry by (at, id), or nullptr when empty. The pointer is
-  /// invalidated by the next push/pop; callers may read but not mutate.
-  virtual const EventEntry* peek() = 0;
-  /// Remove and return the minimum entry. Precondition: !empty().
-  virtual EventEntry pop() = 0;
-
-  virtual std::size_t size() const = 0;
-  bool empty() const { return size() == 0; }
-  virtual const char* name() const = 0;
-};
-
-/// Binary min-heap over a contiguous vector (std::push_heap/pop_heap).
-class HeapEventQueue final : public EventQueue {
- public:
-  void push(EventEntry e) override;
-  const EventEntry* peek() override;
-  EventEntry pop() override;
-  std::size_t size() const override { return heap_.size(); }
-  const char* name() const override { return "heap"; }
-
- private:
-  std::vector<EventEntry> heap_;
-};
+/// Single value; perfbench/driver/workloads.cc still sets cfg.eventQueue.
+enum class EventQueueKind : std::uint8_t { kCalendar };
 
 /// Calendar queue: `kBuckets` buckets of `kBucketWidth` simulated time
 /// each cover a rolling near-future window; events beyond the window wait
 /// in a min-heap and migrate into the wheel as the window advances past
 /// them (each entry migrates at most once). A 64-bit occupancy bitmap
 /// makes skipping empty buckets a countr_zero scan instead of a walk.
-class CalendarEventQueue final : public EventQueue {
+class CalendarEventQueue {
  public:
   /// 8192 buckets x 16.384 us ≈ a 134 ms window: wide enough that only
   /// second-scale protocol timers overflow, fine enough that a bucket
@@ -100,11 +54,14 @@ class CalendarEventQueue final : public EventQueue {
   static constexpr std::size_t kBuckets = 8192;  // power of two
   static constexpr std::int64_t kBucketWidthNs = 16384;
 
-  void push(EventEntry e) override;
-  const EventEntry* peek() override;
-  EventEntry pop() override;
-  std::size_t size() const override { return wheelSize_ + overflow_.size(); }
-  const char* name() const override { return "calendar"; }
+  void push(EventEntry e);
+  /// The minimum entry by (at, id), or nullptr when empty. The pointer is
+  /// invalidated by the next push/pop; callers may read but not mutate.
+  const EventEntry* peek();
+  /// Remove and return the minimum entry. Precondition: !empty().
+  EventEntry pop();
+  std::size_t size() const { return wheelSize_ + overflow_.size(); }
+  bool empty() const { return size() == 0; }
 
   /// Entries currently waiting in the far-future overflow heap (test and
   /// introspection hook; not part of the scheduling contract).
@@ -137,8 +94,5 @@ class CalendarEventQueue final : public EventQueue {
     occupied_[b >> 6] &= ~(1ull << (b & 63));
   }
 };
-
-/// Factory used by the Scheduler.
-std::unique_ptr<EventQueue> makeEventQueue(EventQueueKind kind);
 
 }  // namespace manet::sim

@@ -32,20 +32,16 @@ struct DispatchSpan {
 /// Single-threaded discrete-event scheduler.
 ///
 /// Events at equal timestamps fire in scheduling (FIFO) order, which keeps
-/// runs deterministic. The pending set lives behind the EventQueue
-/// interface (binary heap or calendar queue, chosen at construction); both
-/// implementations dispatch in identical (time, id) order, so the choice
-/// is a pure performance knob. Cancellation is lazy: cancelled entries are
+/// runs deterministic. The pending set is a CalendarEventQueue, held on
+/// the heap because its bucket array is ~192 KiB and schedulers are often
+/// stack locals in tests. Cancellation is lazy: cancelled entries are
 /// skipped when they reach the head of the queue. Event status is tracked
 /// in a dense per-id window (ids are assigned sequentially and retired
 /// roughly in order), so cancelling an already-fired id is a true no-op
 /// and pendingCount() stays exact.
 class Scheduler {
  public:
-  /// A bare scheduler defaults to the tuning-free binary heap; Scenario
-  /// runs select the calendar queue (see ScenarioConfig::eventQueue).
-  explicit Scheduler(EventQueueKind queue = EventQueueKind::kHeap)
-      : queue_(makeEventQueue(queue)) {}
+  Scheduler() : queue_(std::make_unique<CalendarEventQueue>()) {}
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -73,8 +69,7 @@ class Scheduler {
   /// Run all remaining events.
   void run() { runUntil(Time::max()); }
 
-  // --- introspection (queue-agnostic: identical answers whichever
-  //     EventQueue implementation is selected) ---
+  // --- introspection ---
 
   /// Number of events executed so far (for microbenchmarks / sanity checks).
   std::uint64_t executedCount() const { return executed_; }
@@ -89,20 +84,20 @@ class Scheduler {
   /// Timestamp of the next entry that would dispatch (cancelled entries
   /// included until they are lazily popped), or Time::max() when idle.
   Time nextEventAt();
-  /// The selected pending-set implementation ("heap" / "calendar").
-  const char* queueName() const { return queue_->name(); }
+  /// Always "calendar"; perfbench/driver/main.cc still prints it.
+  const char* queueName() const { return "calendar"; }
 
   /// Attach a profiler (nullable; not owned). When set, each dispatched
   /// event is timed and charged to its scheduling category, and the
   /// profiler's progress heartbeat is driven from the dispatch loop. The
   /// profiler only observes wall time — never sim time or any RNG stream —
   /// so profiled runs stay bit-identical. The profiler's horizon histogram
-  /// (recordHorizon) is fed from scheduleAt whichever queue is selected.
+  /// (recordHorizon) is fed from scheduleAt.
   void setProfiler(prof::Profiler* p) { prof_ = p; }
   prof::Profiler* profiler() const { return prof_; }
 
   /// Pending-entry footprint for the event allocation-site tally (the
-  /// calendar queue's buckets and the heap both store EventEntry inline).
+  /// calendar queue's buckets and overflow heap store EventEntry inline).
   static constexpr std::size_t eventEntryBytes() { return sizeof(EventEntry); }
 
   /// Keep the most recent `capacity` dispatch spans (0 disables). Purely
@@ -126,7 +121,7 @@ class Scheduler {
   Time now_ = Time::zero();
   EventId nextId_ = 1;
   std::uint64_t executed_ = 0;
-  std::unique_ptr<EventQueue> queue_;
+  std::unique_ptr<CalendarEventQueue> queue_;
   /// states_[id - baseId_] for every id not yet retired. The window stays
   /// small because events retire in near-id order; it is trimmed from the
   /// front as soon as the oldest outstanding id fires.
