@@ -3,6 +3,7 @@
 // small simulation measured in simulated-events per second.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -455,9 +456,11 @@ void BM_NeighborQueryGrid(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborQueryGrid)->Arg(50)->Arg(500);
 
-// Scheduler throughput on the calendar queue. The workload mixes ties and
-// spread-out timers like a real MAC/timer mix.
-void BM_SchedulerCalendarQueue(benchmark::State& state) {
+// Scheduler throughput: schedule n events up front, then drain them. The
+// workload mixes ties and spread-out timers like a real MAC/timer mix. At
+// n = 100000 the pending set is ~100x deeper than any perfbench workload
+// ever gets; BM_SchedulerHold models the depths that occur.
+void BM_SchedulerDispatch(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     sim::Scheduler sched;
@@ -471,7 +474,63 @@ void BM_SchedulerCalendarQueue(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_SchedulerCalendarQueue)->Arg(100000);
+BENCHMARK(BM_SchedulerDispatch)->Arg(100000);
+
+// Steady-state hold model: `depth` events stay pending (the perfbench
+// workloads peak at 292-990), and each dispatch schedules one successor at
+// a clumpy horizon: mostly the ~1 us phy propagation delay (ties galore),
+// some MAC-scale waits and a few second-scale protocol timers. Closures
+// carry a 48-byte payload, close to the channel's per-frame closure.
+class HoldModel {
+ public:
+  explicit HoldModel(int depth) {
+    for (int i = 0; i < depth; ++i) scheduleNext();
+  }
+  sim::Scheduler& sched() { return sched_; }
+  std::uint64_t sum() const { return sum_; }
+
+ private:
+  sim::Time horizon() {
+    x_ ^= x_ << 13;
+    x_ ^= x_ >> 7;
+    x_ ^= x_ << 17;
+    const auto r = static_cast<std::int64_t>(x_ >> 8);
+    switch (x_ % 16) {
+      case 0:
+        return sim::Time::millis(100 + r % 2000);  // protocol timer
+      case 1:
+      case 2:
+      case 3:
+        return sim::Time::micros(10 + r % 1000);  // MAC backoff / timeout
+      default:
+        return sim::Time::nanos(1000);  // phy fan-out
+    }
+  }
+  void scheduleNext() {
+    const std::array<std::uint64_t, 6> payload{x_, 1, 2, 3, 4, 5};
+    sched_.scheduleAfter(horizon(), [this, payload] {
+      sum_ += payload[0] + payload[5];
+      scheduleNext();
+    });
+  }
+
+  sim::Scheduler sched_;
+  std::uint64_t x_ = 0x9e3779b97f4a7c15ull;
+  std::uint64_t sum_ = 0;
+};
+
+void BM_SchedulerHold(benchmark::State& state) {
+  HoldModel m(static_cast<int>(state.range(0)));
+  m.sched().runUntil(sim::Time::seconds(1));  // reach the steady state
+  const std::uint64_t before = m.sched().executedCount();
+  for (auto _ : state) {
+    m.sched().runUntil(m.sched().now() + sim::Time::millis(10));
+  }
+  benchmark::DoNotOptimize(m.sum());
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(m.sched().executedCount() - before));
+}
+BENCHMARK(BM_SchedulerHold)->Arg(1000);
 
 }  // namespace
 

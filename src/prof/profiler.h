@@ -167,8 +167,9 @@ struct QueueSample {
 };
 
 /// Event-queue analytics: the horizon histogram (now -> fire-time at
-/// scheduling) is exactly the per-bucket occupancy a calendar queue would
-/// see, and the depth series sizes its bucket array. All deterministic.
+/// scheduling) shows how far ahead events are scheduled, and the depth
+/// series how many are pending — the inputs for choosing and sizing the
+/// pending-set structure. All deterministic.
 struct QueueReport {
   std::uint64_t scheduled = 0;    // scheduleAt calls observed
   std::uint64_t zeroHorizon = 0;  // scheduled at the current instant

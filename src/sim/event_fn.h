@@ -14,6 +14,11 @@
 // allocator awareness. Dispatch goes through a hand-rolled vtable (invoke /
 // relocate / destroy) so the common case is one indirect call, same as
 // std::function, with zero allocations.
+//
+// The Scheduler relocates each closure twice: into its payload slot when
+// the event is scheduled, and out of the slot just before it runs. The
+// pending-set heap orders 24-byte keys only, so sifting it never touches
+// a closure.
 #pragma once
 
 #include <cstddef>

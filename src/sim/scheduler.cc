@@ -8,13 +8,23 @@ namespace manet::sim {
 EventId Scheduler::scheduleAt(Time at, EventFn fn, prof::Category cat) {
   assert(at >= now_ && "cannot schedule in the past");
   const EventId id = nextId_++;
-  queue_->push(EventEntry{at, id, std::move(fn), cat});
-  if (queue_->size() > queuePeak_) queuePeak_ = queue_->size();
+  std::uint32_t slot;
+  if (freeSlots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = freeSlots_.back();
+    freeSlots_.pop_back();
+  }
+  slots_[slot].fn = std::move(fn);
+  slots_[slot].cat = cat;
+  queue_.push(EventKey{at, id, slot});
+  if (queue_.size() > queuePeak_) queuePeak_ = queue_.size();
   states_.push_back(EvState::kPending);
   assert(baseId_ + states_.size() == nextId_);
   // Hotspot observability: event horizon (how far ahead of now the event
-  // fires — the calendar-queue design input) and the event allocation
-  // tally. Pure counters driven by simulation state; no wall-clock reads.
+  // fires) and the event allocation tally. Pure counters driven by
+  // simulation state; no wall-clock reads.
   if (prof_ != nullptr) {
     prof_->recordHorizon((at - now_).ns());
     prof_->allocRecord(prof::AllocSite::kEvent);
@@ -46,23 +56,27 @@ void Scheduler::cancel(EventId id) {
 }
 
 Time Scheduler::nextEventAt() {
-  const EventEntry* top = queue_->peek();
+  const EventKey* top = queue_.peek();
   return top == nullptr ? Time::max() : top->at;
 }
 
 void Scheduler::runUntil(Time until) {
-  while (const EventEntry* top = queue_->peek()) {
+  while (const EventKey* top = queue_.peek()) {
     if (top->at > until) break;
-    const EventId id = top->id;
-    if (*stateOf(id) == EvState::kCancelled) {
-      queue_->pop();
-      retire(id);
+    const EventKey k = queue_.pop();
+    // Move the closure out and free its slot first: the handler may
+    // schedule events, which can reuse the slot or grow slots_. The closure
+    // is destroyed at the end of this iteration, unrun if it was cancelled.
+    EventFn fn = std::move(slots_[k.slot].fn);
+    const prof::Category cat = slots_[k.slot].cat;
+    freeSlots_.push_back(k.slot);
+    const bool cancelled = *stateOf(k.id) == EvState::kCancelled;
+    retire(k.id);  // a handler cancelling its own id is a no-op
+    if (cancelled) {
       if (prof_ != nullptr) prof_->allocRelease(prof::AllocSite::kEvent);
       continue;
     }
-    EventEntry e = queue_->pop();
-    retire(id);  // a handler cancelling its own id is a no-op
-    now_ = e.at;
+    now_ = k.at;
     ++executed_;
     // Span capture reads only the profiler's wall clock and writes into a
     // bounded buffer nothing in the simulation reads back.
@@ -72,20 +86,20 @@ void Scheduler::runUntil(Time until) {
     if (prof_ != nullptr) {
       prof_->allocRelease(prof::AllocSite::kEvent);
       {
-        prof::Scope scope(prof_, e.cat);  // inert unless collecting
-        prof_->countDispatch(e.cat);
-        e.fn();
+        prof::Scope scope(prof_, cat);  // inert unless collecting
+        prof_->countDispatch(cat);
+        fn();
       }
       // Depth after the handler ran: counts whatever it just scheduled.
-      prof_->noteQueueDepth(now_.ns(), queue_->size());
+      prof_->noteQueueDepth(now_.ns(), queue_.size());
       prof_->heartbeat(now_.ns(), until.ns(), executed_);
     } else {
-      e.fn();
+      fn();
     }
     if (capture) {
       const std::uint64_t w1 =
           prof_ != nullptr ? prof_->clockNs() : 0;
-      recordSpan(DispatchSpan{e.at, executed_, w0, w1 - w0, e.cat});
+      recordSpan(DispatchSpan{k.at, executed_, w0, w1 - w0, cat});
     }
   }
   if (now_ < until && until != Time::max()) now_ = until;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "src/prof/profiler.h"
@@ -14,7 +13,7 @@
 namespace manet::sim {
 
 /// Handle for a scheduled event, usable with Scheduler::cancel.
-/// (EventId itself is declared in event_queue.h next to EventEntry.)
+/// (EventId itself is declared in event_queue.h next to EventKey.)
 inline constexpr EventId kInvalidEvent = 0;
 
 /// One dispatched handler, captured for timeline export: when it ran in
@@ -32,16 +31,17 @@ struct DispatchSpan {
 /// Single-threaded discrete-event scheduler.
 ///
 /// Events at equal timestamps fire in scheduling (FIFO) order, which keeps
-/// runs deterministic. The pending set is a CalendarEventQueue, held on
-/// the heap because its bucket array is ~192 KiB and schedulers are often
-/// stack locals in tests. Cancellation is lazy: cancelled entries are
-/// skipped when they reach the head of the queue. Event status is tracked
-/// in a dense per-id window (ids are assigned sequentially and retired
-/// roughly in order), so cancelling an already-fired id is a true no-op
-/// and pendingCount() stays exact.
+/// runs deterministic. The pending set is an EventQueue of 24-byte keys;
+/// each event's closure and category live in a slot of `slots_`, recycled
+/// through a free list, so the heap never moves a closure. Cancellation is
+/// lazy: a cancelled key is skipped when it reaches the head of the queue,
+/// and only then is its closure destroyed and its slot freed. Event status
+/// is tracked in a dense per-id window (ids are assigned sequentially and
+/// retired roughly in order), so cancelling an already-fired id is a true
+/// no-op and pendingCount() stays exact.
 class Scheduler {
  public:
-  Scheduler() : queue_(std::make_unique<CalendarEventQueue>()) {}
+  Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -77,15 +77,18 @@ class Scheduler {
   /// are popped without dispatching and do not count).
   std::uint64_t totalDispatched() const { return executed_; }
   /// Number of events still queued and not cancelled.
-  std::size_t pendingCount() const { return queue_->size() - cancelledLive_; }
+  std::size_t pendingCount() const { return queue_.size() - cancelledLive_; }
   /// Largest raw queue size ever reached (cancelled entries included —
   /// this is the memory high-water mark). Tracked unconditionally.
   std::size_t queueHighWater() const { return queuePeak_; }
   /// Timestamp of the next entry that would dispatch (cancelled entries
   /// included until they are lazily popped), or Time::max() when idle.
   Time nextEventAt();
-  /// Always "calendar"; perfbench/driver/main.cc still prints it.
-  const char* queueName() const { return "calendar"; }
+  /// Closure slots allocated so far. A popped key frees its slot for the
+  /// next scheduleAt, so this stays equal to queueHighWater().
+  std::size_t slotCount() const { return slots_.size(); }
+  /// Always "heap"; perfbench/driver/main.cc prints it.
+  const char* queueName() const { return "heap"; }
 
   /// Attach a profiler (nullable; not owned). When set, each dispatched
   /// event is timed and charged to its scheduling category, and the
@@ -96,9 +99,11 @@ class Scheduler {
   void setProfiler(prof::Profiler* p) { prof_ = p; }
   prof::Profiler* profiler() const { return prof_; }
 
-  /// Pending-entry footprint for the event allocation-site tally (the
-  /// calendar queue's buckets and overflow heap store EventEntry inline).
-  static constexpr std::size_t eventEntryBytes() { return sizeof(EventEntry); }
+  /// Pending-event footprint for the event allocation-site tally: one heap
+  /// key plus one closure slot.
+  static constexpr std::size_t eventEntryBytes() {
+    return sizeof(EventKey) + sizeof(Slot);
+  }
 
   /// Keep the most recent `capacity` dispatch spans (0 disables). Purely
   /// observational: the buffer is bounded, reads only the profiler's wall
@@ -112,6 +117,12 @@ class Scheduler {
  private:
   enum class EvState : std::uint8_t { kPending, kCancelled, kDone };
 
+  /// An event's payload. A free slot holds an empty closure.
+  struct Slot {
+    EventFn fn;
+    prof::Category cat = prof::Category::kOther;
+  };
+
   /// Status slot for `id`, or nullptr if the id was never issued or its
   /// slot has been retired (the event already fired).
   EvState* stateOf(EventId id);
@@ -121,7 +132,12 @@ class Scheduler {
   Time now_ = Time::zero();
   EventId nextId_ = 1;
   std::uint64_t executed_ = 0;
-  std::unique_ptr<CalendarEventQueue> queue_;
+  EventQueue queue_;
+  /// Payload of every pending key, indexed by EventKey::slot. Handlers may
+  /// schedule while running, so runUntil moves a closure out of its slot
+  /// before invoking it (the vector can grow underneath).
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> freeSlots_;
   /// states_[id - baseId_] for every id not yet retired. The window stays
   /// small because events retire in near-id order; it is trimmed from the
   /// front as soon as the oldest outstanding id fires.

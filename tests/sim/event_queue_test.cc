@@ -1,7 +1,8 @@
-// Pending-set contract: the calendar queue must dispatch in strictly
-// ascending (at, id) order — the FIFO-among-ties rule every determinism
-// guarantee in the simulator rests on. A binary heap over (at, id) is the
-// ordering oracle it is compared against.
+// Pending-set contract: the event queue must pop in strictly ascending
+// (at, id) order — the FIFO-among-ties rule every determinism guarantee in
+// the simulator rests on. The reference is an ordered std::set of
+// (at, id) pairs, which shares no code with the heap it checks. "Both
+// kinds" in the test names means the queue and that reference.
 #include "src/sim/event_queue.h"
 
 #include <gtest/gtest.h>
@@ -9,16 +10,18 @@
 #include <algorithm>
 #include <functional>
 #include <map>
-#include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/sim/scheduler.h"
-#include "tests/sim/heap_event_queue.h"
 
 namespace manet::sim {
 namespace {
+
+using Popped = std::pair<Time, EventId>;
+using Oracle = std::set<Popped>;
 
 /// A deterministic, clumpy timestamp sequence: bursts of equal and
 /// near-equal times (MAC-like) plus occasional far-future timers.
@@ -32,7 +35,7 @@ std::vector<Time> workload(int n) {
     switch (x % 8) {
       case 0:
         out.push_back(Time::seconds(1 + static_cast<std::int64_t>(x % 20)));
-        break;  // far-future timer (calendar overflow territory)
+        break;  // far-future protocol timer
       case 1:
       case 2:
         out.push_back(Time::micros(static_cast<std::int64_t>(x % 50)));
@@ -45,56 +48,47 @@ std::vector<Time> workload(int n) {
   return out;
 }
 
-using Popped = std::pair<Time, EventId>;
-
-EventEntry entry(Time at, EventId id) {
-  return EventEntry{at, id, EventFn{}, prof::Category::kOther};
-}
-
-template <class Queue>
-std::vector<Popped> drain(Queue& q) {
-  std::vector<Popped> out;
-  while (const EventEntry* top = q.peek()) {
-    EXPECT_EQ(top->at, q.peek()->at);  // peek is stable
-    EventEntry e = q.pop();
-    out.emplace_back(e.at, e.id);
-  }
-  return out;
+/// Pop the oracle's minimum.
+Popped popMin(Oracle& oracle) {
+  const Popped p = *oracle.begin();
+  oracle.erase(oracle.begin());
+  return p;
 }
 
 TEST(EventQueueTest, BothKindsPopIdenticalStrictlyOrderedSequences) {
   const std::vector<Time> times = workload(5000);
-  HeapEventQueue heap;
-  auto cal = std::make_unique<CalendarEventQueue>();
+  EventQueue q;
+  Oracle oracle;
   EventId id = 1;
   for (Time t : times) {
-    heap.push(entry(t, id));
-    cal->push(entry(t, id));
+    q.push(EventKey{t, id, static_cast<std::uint32_t>(id)});
+    oracle.emplace(t, id);
     ++id;
   }
-  EXPECT_EQ(heap.size(), times.size());
-  EXPECT_EQ(cal->size(), times.size());
-  const auto a = drain(heap);
-  const auto b = drain(*cal);
-  ASSERT_EQ(a.size(), times.size());
-  ASSERT_EQ(a, b);
-  for (std::size_t i = 1; i < a.size(); ++i) {
-    const bool ordered = a[i - 1].first < a[i].first ||
-                         (a[i - 1].first == a[i].first &&
-                          a[i - 1].second < a[i].second);
-    ASSERT_TRUE(ordered) << "disorder at " << i;
+  ASSERT_EQ(q.size(), times.size());
+  ASSERT_EQ(oracle.size(), times.size());  // (at, id) pairs are distinct
+  std::size_t popped = 0;
+  while (const EventKey* top = q.peek()) {
+    const Popped want = popMin(oracle);
+    ASSERT_EQ(Popped(top->at, top->id), want) << "peek " << popped;
+    const EventKey k = q.pop();
+    ASSERT_EQ(Popped(k.at, k.id), want) << "pop " << popped;
+    EXPECT_EQ(k.slot, static_cast<std::uint32_t>(k.id));  // rides along
+    ++popped;
   }
+  EXPECT_EQ(popped, times.size());
+  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(oracle.empty());
 }
 
 TEST(EventQueueTest, InterleavedPushPopStaysOrderedOnBothKinds) {
-  // Pops interleaved with pushes at ever-later times, as a simulation does,
-  // fed to the calendar queue and the heap oracle alike. Besides the
-  // workload, one timer sits at Time::max() (the saturating window limit)
-  // and some ~2^40 ns (~18 min) out, so the window jumps far ahead.
+  // Pops interleaved with pushes at ever-later times, as a simulation does.
+  // Besides the workload, one timer sits at Time::max() and some ~2^40 ns
+  // (~18 min) out, far beyond every other pending time.
   const std::vector<Time> times = workload(2000);
   const Time far = Time::nanos(std::int64_t{1} << 40);
-  HeapEventQueue heap;
-  auto cal = std::make_unique<CalendarEventQueue>();
+  EventQueue q;
+  Oracle oracle;
   EventId id = 1;
   Time lastPopped = Time::zero();
   std::size_t pushed = 0;
@@ -108,50 +102,36 @@ TEST(EventQueueTest, InterleavedPushPopStaysOrderedOnBothKinds) {
       } else if (pushed % 500 == 250) {
         at = lastPopped + far;
       }
-      heap.push(entry(at, id));
-      cal->push(entry(at, id));
+      q.push(EventKey{at, id, 0});
+      oracle.emplace(at, id);
       ++id;
       ++pushed;
     }
-    ASSERT_EQ(cal->size(), heap.size());
+    ASSERT_EQ(q.size(), oracle.size());
+    const Popped want = popMin(oracle);
     // Alternate peek-then-pop (the Scheduler's pattern) with a bare pop.
     if (popped % 2 == 0) {
-      ASSERT_EQ(cal->peek()->id, heap.peek()->id) << "pop " << popped;
+      ASSERT_EQ(Popped(q.peek()->at, q.peek()->id), want) << "pop " << popped;
     }
-    const EventEntry want = heap.pop();
-    const EventEntry got = cal->pop();
-    ASSERT_EQ(Popped(got.at, got.id), Popped(want.at, want.id))
-        << "pop " << popped;
+    const EventKey got = q.pop();
+    ASSERT_EQ(Popped(got.at, got.id), want) << "pop " << popped;
     ASSERT_GE(got.at, lastPopped) << "went backwards at pop " << popped;
     lastPopped = got.at;
     ++popped;
   }
   EXPECT_EQ(lastPopped, Time::max());
-  EXPECT_EQ(cal->peek(), nullptr);  // window limit saturates at Time::max()
-  EXPECT_TRUE(cal->empty());
-  EXPECT_TRUE(heap.empty());
-}
-
-TEST(EventQueueTest, CalendarRoutesFarTimersThroughOverflow) {
-  auto q = std::make_unique<CalendarEventQueue>();
-  q->push(entry(Time::seconds(30), 1));
-  q->push(entry(Time::micros(5), 2));
-  EXPECT_EQ(q->overflowSize(), 1u);  // the 30 s timer is beyond the wheel
-  EXPECT_EQ(q->size(), 2u);
-  EXPECT_EQ(q->pop().id, 2u);
-  // Popping advances the window; the far timer is served (migrating into
-  // the wheel or straight off the overflow heap) in correct order.
-  EXPECT_EQ(q->pop().id, 1u);
-  EXPECT_TRUE(q->empty());
+  EXPECT_EQ(q.peek(), nullptr);
+  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(oracle.empty());
 }
 
 TEST(EventQueueTest, SchedulerBehavesIdenticallyOnBothQueues) {
   // A scheduling program — ties, cascading reschedules, a cancel — runs
-  // through the Scheduler. Every entry it issues is also logged into the
-  // heap oracle; draining the oracle (skipping the cancelled id) must give
+  // through the Scheduler. Every event it issues is also logged into the
+  // set oracle; draining the oracle (skipping the cancelled id) must give
   // the Scheduler's dispatch order, with the same event ids.
   Scheduler sched;
-  HeapEventQueue oracle;
+  Oracle oracle;
   std::map<EventId, std::string> names;
   std::vector<std::string> log;
   std::vector<EventId> cancelled;
@@ -161,7 +141,7 @@ TEST(EventQueueTest, SchedulerBehavesIdenticallyOnBothQueues) {
           log.push_back(name);
           if (body) body();
         });
-        oracle.push(entry(at, id));
+        oracle.emplace(at, id);
         names[id] = std::move(name);
         return id;
       };
@@ -179,7 +159,7 @@ TEST(EventQueueTest, SchedulerBehavesIdenticallyOnBothQueues) {
     });
   });
   add(Time::micros(10), "tie-b", {});
-  EXPECT_STREQ(sched.queueName(), "calendar");
+  EXPECT_STREQ(sched.queueName(), "heap");
   EXPECT_EQ(sched.nextEventAt(), Time::micros(5));
   sched.run();
   EXPECT_EQ(log, (std::vector<std::string>{"early", "tie-a", "tie-b", "tie-c",
@@ -187,7 +167,7 @@ TEST(EventQueueTest, SchedulerBehavesIdenticallyOnBothQueues) {
   EXPECT_EQ(sched.executedCount(), 5u);
 
   std::vector<std::string> want;
-  for (const auto& [at, id] : drain(oracle)) {
+  for (const auto& [at, id] : oracle) {
     if (std::find(cancelled.begin(), cancelled.end(), id) == cancelled.end()) {
       want.push_back(names.at(id));
     }
@@ -200,7 +180,7 @@ TEST(EventQueueTest, SchedulerIntrospectionIsQueueAgnostic) {
   EXPECT_EQ(sched.nextEventAt(), Time::max());
   const EventId a = sched.scheduleAt(Time::millis(1), [] {});
   sched.scheduleAt(Time::millis(2), [] {});
-  sched.scheduleAt(Time::seconds(9), [] {});  // calendar overflow
+  sched.scheduleAt(Time::seconds(9), [] {});  // far-future timer
   EXPECT_EQ(sched.pendingCount(), 3u);
   EXPECT_EQ(sched.queueHighWater(), 3u);
   sched.cancel(a);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace manet::sim {
@@ -168,6 +171,78 @@ TEST(SchedulerTest, PendingCountStaysExactUnderChurn) {
   }
   s.run();
   EXPECT_EQ(s.pendingCount(), 0u);
+}
+
+// A cancelled key frees its closure slot when it is popped; the next event
+// scheduled reuses that slot, and the cancelled closure never runs.
+TEST(SchedulerTest, CancelledSlotIsReusedAndItsClosureNeverRuns) {
+  Scheduler s;
+  std::vector<std::string> ran;
+  const EventId doomed =
+      s.scheduleAt(Time::seconds(1), [&] { ran.push_back("doomed"); });
+  s.scheduleAt(Time::seconds(2), [&] { ran.push_back("b"); });
+  EXPECT_EQ(s.slotCount(), 2u);
+  s.cancel(doomed);
+  s.runUntil(Time::seconds(1));  // pops the cancelled key, frees its slot
+  EXPECT_EQ(s.slotCount(), 2u);
+  s.scheduleAt(Time::seconds(3), [&] { ran.push_back("c"); });
+  EXPECT_EQ(s.slotCount(), 2u);  // reused, not grown
+  s.run();
+  EXPECT_EQ(ran, (std::vector<std::string>{"b", "c"}));
+  EXPECT_EQ(s.slotCount(), 2u);
+  EXPECT_EQ(s.slotCount(), s.queueHighWater());
+}
+
+// One handler schedules far more events than there are slots, so the slot
+// vector grows while that handler's closure is running. The handler's own
+// captures must survive, and every new event must run in (time, FIFO)
+// order.
+TEST(SchedulerTest, HandlerGrowingTheSlotVectorStillRunsEverythingInOrder) {
+  Scheduler s;
+  std::vector<int> order;
+  // Stored inline in the closure: had the closure run in place, growing
+  // the slot vector would move this string out from under it.
+  const std::string tag(100, 'x');
+  std::string seenTag;
+  s.scheduleAt(Time::seconds(1), [&s, &order, &seenTag, tag] {
+    for (int i = 0; i < 1000; ++i) {
+      // Ten ties per timestamp, timestamps scheduled in reverse.
+      const auto at = Time::millis(2000 + 10 * (99 - i / 10));
+      s.scheduleAt(at, [&order, i] { order.push_back(i); });
+    }
+    seenTag = tag;  // read the captures after slots_ has grown
+  });
+  EXPECT_EQ(s.slotCount(), 1u);
+  s.run();
+  EXPECT_EQ(seenTag, tag);
+  EXPECT_GE(s.slotCount(), 1000u);
+  ASSERT_EQ(order.size(), 1000u);
+  std::vector<int> want;
+  for (int block = 99; block >= 0; --block) {
+    for (int j = 0; j < 10; ++j) want.push_back(block * 10 + j);
+  }
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(s.executedCount(), 1001u);
+}
+
+// Closure lifetime: a cancelled closure is destroyed when its key is
+// popped, a dispatched one right after it runs, and pending ones when the
+// Scheduler is destroyed.
+TEST(SchedulerTest, ClosuresAreReleasedWhenPoppedOrWithTheScheduler) {
+  auto token = std::make_shared<int>(7);
+  auto s = std::make_unique<Scheduler>();
+  const EventId doomed = s->scheduleAt(Time::seconds(1), [token] {});
+  s->scheduleAt(Time::seconds(2), [token] {});
+  s->scheduleAt(Time::seconds(3), [token] {});
+  EXPECT_EQ(token.use_count(), 4);
+  s->cancel(doomed);
+  EXPECT_EQ(token.use_count(), 4);  // lazily cancelled: still queued
+  s->runUntil(Time::millis(1500));
+  EXPECT_EQ(token.use_count(), 3);  // popped: the cancelled closure is gone
+  s->runUntil(Time::seconds(2));
+  EXPECT_EQ(token.use_count(), 2);  // dispatched and destroyed
+  s.reset();
+  EXPECT_EQ(token.use_count(), 1);  // the pending closure died with it
 }
 
 TEST(SchedulerTest, ScheduleAfterUsesCurrentTime) {
