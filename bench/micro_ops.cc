@@ -41,9 +41,9 @@ void BM_SchedulerScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerScheduleRun)->Arg(1000)->Arg(100000);
 
-// Random loop-free routes from node 0 over nodes 1..100 (1-8 hops).
+// Random loop-free routes from node 0 over nodes 1..ids (1-8 hops).
 std::vector<std::vector<net::NodeId>> randomRoutes(std::uint64_t seed,
-                                                   int count) {
+                                                   int count, int ids = 100) {
   sim::Rng rng(seed);
   std::vector<std::vector<net::NodeId>> routes;
   for (int i = 0; i < count; ++i) {
@@ -52,7 +52,7 @@ std::vector<std::vector<net::NodeId>> randomRoutes(std::uint64_t seed,
     for (int j = 0; j < len; ++j) {
       net::NodeId next;
       do {
-        next = static_cast<net::NodeId>(rng.uniformInt(1, 100));
+        next = static_cast<net::NodeId>(rng.uniformInt(1, ids));
       } while (std::find(p.begin(), p.end(), next) != p.end());
       p.push_back(next);
     }
@@ -61,10 +61,17 @@ std::vector<std::vector<net::NodeId>> randomRoutes(std::uint64_t seed,
   return routes;
 }
 
+// Inserts into a full path cache, cycling through twice its capacity in
+// routes, so nearly every insert is new and evicts the oldest path. Arg =
+// node-id space; 400 is the static_n400 churn.
 void BM_RouteCacheInsert(benchmark::State& state) {
-  const auto paths = randomRoutes(1, 256);
+  const auto paths = randomRoutes(1, 256, static_cast<int>(state.range(0)));
   core::RouteCache cache(0, 128);
   std::size_t i = 0;
+  for (; cache.size() < 128; ++i) {
+    cache.insert(paths[i % paths.size()],
+                 sim::Time::micros(static_cast<std::int64_t>(i)));
+  }
   for (auto _ : state) {
     ++i;
     cache.insert(paths[i % paths.size()],
@@ -73,7 +80,7 @@ void BM_RouteCacheInsert(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RouteCacheInsert);
+BENCHMARK(BM_RouteCacheInsert)->Arg(100)->Arg(400);
 
 void BM_RouteCacheFindRoute(benchmark::State& state) {
   sim::Rng rng(2);

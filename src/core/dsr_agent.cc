@@ -178,7 +178,8 @@ void DsrAgent::transmitAlongRoute(std::shared_ptr<net::Packet> p) {
   // node* (cursor > 0). Origination does not count unless the config says
   // so — this is what makes tiny timeouts expensive (the source re-discovers
   // its own active route every T), reproducing the paper's Fig. 1 shape.
-  if (p->route->cursor > 0 || cfg_.expiryCountsOrigination) {
+  if (cfg_.expiry != ExpiryMode::kNone &&
+      (p->route->cursor > 0 || cfg_.expiryCountsOrigination)) {
     cache_->markLinksUsed(p->route->hops, sched_.now());
   }
   const net::NodeId nextHop = p->route->nextHop();
@@ -222,10 +223,12 @@ void DsrAgent::handleData(const net::PacketPtr& p) {
   const auto& hops = p->route->hops;
   if (p->route->hops[p->route->cursor] != self_) return;  // stale delivery
 
-  // Forwarding a unicast source-routed packet: refresh link usage stamps
-  // (timer-based expiry) and, with wider error notification, remember the
-  // links for the rebroadcast predicate (its only reader).
-  cache_->markLinksUsed(hops, sched_.now());
+  // Forwarding a unicast source-routed packet: mark its links used (read
+  // only by timer-based expiry) and, with wider error notification,
+  // remember the links for the rebroadcast predicate (its only reader).
+  if (cfg_.expiry != ExpiryMode::kNone) {
+    cache_->markLinksUsed(hops, sched_.now());
+  }
   if (cfg_.widerErrorNotification) {
     for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
       forwardedLinks_.insert(net::LinkId{hops[i], hops[i + 1]});

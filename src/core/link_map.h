@@ -56,20 +56,17 @@ class LinkMap {
       if (buckets_[i].key == key) break;
     }
     if (!buckets_[i].used) return false;
-    // Backward shift: pull later members of the probe run into the hole
-    // unless their home lies cyclically in (hole, j].
-    for (std::size_t j = (i + 1) & mask_; buckets_[j].used;
-         j = (j + 1) & mask_) {
-      const std::size_t k = home(buckets_[j].key);
-      const bool stays = i <= j ? (i < k && k <= j) : (i < k || k <= j);
-      if (!stays) {
-        buckets_[i] = buckets_[j];
-        i = j;
-      }
-    }
-    buckets_[i].used = false;
-    --size_;
+    eraseAt(i);
     return true;
+  }
+
+  /// Erases every entry whose value satisfies `pred`.
+  template <class Pred>
+  void eraseIf(Pred pred) {
+    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+      // eraseAt may pull a later entry into bucket i: look again.
+      while (buckets_[i].used && pred(buckets_[i].value)) eraseAt(i);
+    }
   }
 
   /// Empties the map and keeps its buckets.
@@ -91,6 +88,22 @@ class LinkMap {
   // Fibonacci hashing: the top bits of key * 2^64/phi.
   std::size_t home(std::uint64_t key) const {
     return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  /// Frees bucket i. Backward shift: pull later members of the probe run
+  /// into the hole unless their home lies cyclically in (hole, j].
+  void eraseAt(std::size_t i) {
+    for (std::size_t j = (i + 1) & mask_; buckets_[j].used;
+         j = (j + 1) & mask_) {
+      const std::size_t k = home(buckets_[j].key);
+      const bool stays = i <= j ? (i < k && k <= j) : (i < k || k <= j);
+      if (!stays) {
+        buckets_[i] = buckets_[j];
+        i = j;
+      }
+    }
+    buckets_[i].used = false;
+    --size_;
   }
 
   void grow() {

@@ -38,13 +38,10 @@ bool RouteCache::insert(std::span<const net::NodeId> hops, sim::Time now,
     }
   }
   if (count_ >= capacity_ && count_ > 0) {  // FIFO eviction
-    releaseLinks(ring_[head_].hops);
     head_ = nextSlot(head_);
     --count_;
     traceCacheEvent(telemetry::TraceEvent::kCacheEvict, 1);
   }
-  // New links start their usage clock at insertion time.
-  acquireLinks(hops, now);
   net::RouteProvenance prov;
   if (origin != net::RouteOrigin::kNone) {
     prov = net::RouteProvenance::next(origin, owner_, now, hops.size());
@@ -100,13 +97,19 @@ std::optional<RouteLookup> RouteCache::lookup(
 }
 
 bool RouteCache::containsLink(net::LinkId link) const {
-  return lastUsed_.find(link) != nullptr;
+  const std::uint64_t ends = nodeBit(link.from) | nodeBit(link.to);
+  for (std::size_t i = 0, s = head_; i < count_; ++i, s = nextSlot(s)) {
+    if ((keys_[s].nodes & ends) == ends &&
+        net::routeContainsLink(ring_[s].hops, link)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 std::vector<sim::Time> RouteCache::removeLink(net::LinkId link,
                                               sim::Time /*now*/) {
   std::vector<sim::Time> affected;
-  if (lastUsed_.find(link) == nullptr) return affected;  // no path holds it
   const std::uint64_t ends = nodeBit(link.from) | nodeBit(link.to);
   for (std::size_t i = 0, s = head_; i < count_; ++i, s = nextSlot(s)) {
     if ((keys_[s].nodes & ends) != ends) continue;
@@ -126,15 +129,13 @@ std::vector<sim::Time> RouteCache::removeLink(net::LinkId link,
 void RouteCache::markLinksUsed(std::span<const net::NodeId> route,
                                sim::Time now) {
   for (std::size_t i = 0; i + 1 < route.size(); ++i) {
-    if (LinkUse* use = lastUsed_.find(net::LinkId{route[i], route[i + 1]})) {
-      use->lastUsed = now;
-    }
+    *marks_.tryEmplace(net::LinkId{route[i], route[i + 1]}, now).first = now;
   }
 }
 
 sim::Time RouteCache::linkLastUsed(net::LinkId link, sim::Time addedAt) const {
-  const LinkUse* use = lastUsed_.find(link);
-  return use != nullptr ? std::max(use->lastUsed, addedAt) : addedAt;
+  const sim::Time* mark = marks_.find(link);
+  return mark != nullptr ? std::max(*mark, addedAt) : addedAt;
 }
 
 std::size_t RouteCache::expireUnusedSince(sim::Time cutoff) {
@@ -151,6 +152,9 @@ std::size_t RouteCache::expireUnusedSince(sim::Time cutoff) {
     }
   }
   dropUnroutable();
+  // Surviving links all count as used at or after `cutoff`, and later paths
+  // are added later: an older mark can never decide a later pass.
+  marks_.eraseIf([cutoff](sim::Time mark) { return mark < cutoff; });
   if (pruned > 0) {
     traceCacheEvent(telemetry::TraceEvent::kCacheExpire,
                     static_cast<std::int64_t>(pruned));
@@ -161,7 +165,7 @@ std::size_t RouteCache::expireUnusedSince(sim::Time cutoff) {
 void RouteCache::clear() {
   head_ = 0;
   count_ = 0;
-  lastUsed_.clear();
+  marks_.clear();
 }
 
 void RouteCache::forEachRoute(const RouteVisitor& visit) const {
@@ -170,32 +174,14 @@ void RouteCache::forEachRoute(const RouteVisitor& visit) const {
   }
 }
 
-void RouteCache::acquireLinks(std::span<const net::NodeId> hops,
-                              sim::Time now) {
-  for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-    ++lastUsed_.tryEmplace(net::LinkId{hops[i], hops[i + 1]}, LinkUse{now})
-          .first->refs;
-  }
-}
-
-void RouteCache::releaseLinks(std::span<const net::NodeId> hops) {
-  for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-    const net::LinkId link{hops[i], hops[i + 1]};
-    LinkUse* use = lastUsed_.find(link);
-    if (use != nullptr && --use->refs == 0) lastUsed_.erase(link);
-  }
-}
-
 void RouteCache::truncate(std::size_t slot, std::size_t keep) {
   std::vector<net::NodeId>& hops = ring_[slot].hops;
-  releaseLinks(std::span<const net::NodeId>(hops).subspan(keep - 1));
   hops.resize(keep);
   keys_[slot] = keyOf(hops);
 }
 
 void RouteCache::dropUnroutable() {
-  // Compact the survivors towards the head, keeping FIFO order; a dropped
-  // path holds no links any more (truncate released them).
+  // Compact the survivors towards the head, keeping FIFO order.
   std::size_t kept = 0;
   for (std::size_t i = 0, r = head_, w = head_; i < count_;
        ++i, r = nextSlot(r)) {

@@ -5,16 +5,17 @@
 // beginning at the caching node. A route to destination D is the shortest
 // stored path prefix ending at D.
 //
-// For the paper's timer-based expiry technique every link carries a
-// last-used timestamp, refreshed whenever the node sees the link in a
-// unicast packet it forwards; expire() prunes the portion of each path whose
-// links have gone unused longer than the timeout.
+// For the paper's timer-based expiry technique a link counts as used at the
+// later of its path's insertion and the last time the node forwarded a
+// unicast packet over it; expireUnusedSince() prunes the portion of each
+// path whose links have gone unused longer than the timeout.
 //
 // Storage is flat: the paths live in a ring of `capacity` slots whose hop
 // vectors are reused, so FIFO eviction is O(1) and a warm cache inserts
 // without allocating. Each slot carries a hash of its hops (duplicate check)
 // and a 64-bit node-set mask (lookup and removeLink skip paths that cannot
-// match). Link timestamps are refcounted by the stored paths that hold them.
+// match). Link-use marks are recorded only with expiry on, and each expiry
+// pass drops those older than its cutoff.
 #pragma once
 
 #include <cstddef>
@@ -118,28 +119,23 @@ class RouteCache final : public RouteCacheBase {
   /// uses them as route-lifetime samples.
   std::vector<sim::Time> removeLink(net::LinkId link, sim::Time now) override;
 
-  /// Refresh last-used timestamps for every link of `route` (called when the
-  /// owner forwards a unicast packet carrying that source route).
+  /// Mark every link of `route` used at `now`, whether a stored path holds
+  /// it or not (DsrAgent calls this only with expiry on).
   void markLinksUsed(std::span<const net::NodeId> route,
                      sim::Time now) override;
 
   /// Timer-based expiry: truncate each path at its first link unused since
-  /// `cutoff` (links never seen in traffic keep their insertion time).
-  /// Returns the number of links pruned.
+  /// `cutoff` (links never seen in traffic keep their insertion time), and
+  /// drop the marks older than `cutoff`. Returns the number of links pruned.
   std::size_t expireUnusedSince(sim::Time cutoff) override;
 
   void clear() override;
   void forEachRoute(const RouteVisitor& visit) const override;
 
-  /// Entries in the link-usage table: exactly the distinct links of the
-  /// stored paths (a link's entry goes with the last path holding it).
-  std::size_t linkTableSize() const { return lastUsed_.size(); }
+  /// Links marked since the last expiry pass's cutoff.
+  std::size_t markTableSize() const { return marks_.size(); }
 
  private:
-  struct LinkUse {
-    sim::Time lastUsed;
-    std::uint32_t refs = 0;  // stored paths holding the link
-  };
   /// Per-slot summary, kept apart from the hop vectors so scans over all
   /// paths touch one small contiguous array.
   struct PathKey {
@@ -162,8 +158,6 @@ class RouteCache final : public RouteCacheBase {
   }
   const CachedPath& at(std::size_t i) const { return ring_[slotOf(i)]; }
 
-  void acquireLinks(std::span<const net::NodeId> hops, sim::Time now);
-  void releaseLinks(std::span<const net::NodeId> hops);
   /// Cut the path in `slot` down to its first `keep` nodes.
   void truncate(std::size_t slot, std::size_t keep);
   void dropUnroutable();
@@ -177,8 +171,9 @@ class RouteCache final : public RouteCacheBase {
   std::vector<PathKey> keys_;  // parallel to ring_
   std::size_t head_ = 0;
   std::size_t count_ = 0;
-  /// Link usage timestamps shared across paths (a link may appear in many).
-  LinkMap<LinkUse> lastUsed_;
+  /// Last mark per link. Marks predating a path's addedAt never decide its
+  /// expiry, so they need not follow the stored paths.
+  LinkMap<sim::Time> marks_;
 };
 
 }  // namespace manet::core

@@ -72,6 +72,9 @@ GridNeighborIndex::GridNeighborIndex(sim::Scheduler& sched, double cellRange,
       // Cell size covers the query disc plus the worst drift between two
       // refreshes, so a 3x3 cell block around any query point always holds
       // every possible receiver.
+      // manet-lint: allow(float-time): sizes the search window only; every
+      // candidate is then tested by exact distance and visited in attach
+      // order, so the rounding cannot reach which radios hear a frame.
       cellSize_(cellRange + speedBound * refreshPeriod.toSeconds()),
       speedBound_(speedBound),
       refreshPeriod_(refreshPeriod) {}
@@ -114,6 +117,8 @@ void GridNeighborIndex::forEachInRange(const Vec2& pos, double range,
   // A radio in range *now* was bucketed at most `slack` meters away from its
   // current position, so searching the cells within `range + slack` of the
   // query point yields a guaranteed superset of the true receiver set.
+  // manet-lint: allow(float-time): pads the search window only, as for
+  // cellSize_; fixed-op, so the same inputs give the same cells everywhere.
   const double slack = speedBound_ * (now - lastRefresh_).toSeconds();
   const double reach = range + slack;
 

@@ -86,10 +86,13 @@ class AllocTracker {
   }
 
  private:
+  // One slot per thread, so parallel sweep workers (one scenario and
+  // profiler per thread) tally independently. constinit: no dynamic
+  // initialisation, so reads need no TLS wrapper call.
   // manet-lint: allow(shared-mutable): thread-local profiler hook, installed
   // per-Scenario by the Profiler ctor and cleared by its dtor; never read by
   // simulation decisions, only written to by observational tallies.
-  static thread_local AllocTracker* t_current;
+  static inline thread_local constinit AllocTracker* t_current = nullptr;
   std::array<AllocSiteStats, kNumAllocSites> sites_{};
   std::array<std::uint64_t, kNumAllocSites> unitBytes_{};
 };

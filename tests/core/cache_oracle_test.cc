@@ -6,9 +6,10 @@
 // std::map link graph searched with a fresh hash map per lookup, a deque
 // FIFO). Seeded random operation sequences run through both; every return
 // value, provenance record, visit order, link-filter call and trace record
-// must match. Time never runs backwards, as in a simulation: the refcounted
-// link-usage table of RouteCache is output-identical only under that
-// condition.
+// must match. Time never runs backwards, as in a simulation: the link-use
+// mark table of RouteCache is output-identical only under that condition.
+// A second parameter set draws node ids from 0..399, where RouteCache's
+// 64-bit node mask aliases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "src/core/link_cache.h"
+#include "src/core/link_map.h"
 #include "src/core/negative_cache.h"
 #include "src/core/route_cache.h"
 #include "src/sim/rng.h"
@@ -498,34 +500,46 @@ struct Op {
 constexpr NodeId kOwner = 0;
 constexpr int kNodes = 12;
 
-std::vector<NodeId> randomRoute(sim::Rng& rng, bool fromOwner) {
+/// A node id from 0..ids-1. Past kNodes ids, three draws in four come from
+/// twelve ids (multiples of 64, plus one) that share two bits of
+/// RouteCache's node mask, so the mask passes paths the exact scan must
+/// reject, and paths still overlap often enough to match.
+NodeId randomNode(sim::Rng& rng, int ids) {
+  if (ids <= kNodes || rng.bernoulli(0.25)) {
+    return static_cast<NodeId>(rng.uniformInt(0, ids - 1));
+  }
+  return static_cast<NodeId>(64 * rng.uniformInt(0, 5) + rng.uniformInt(0, 1));
+}
+
+std::vector<NodeId> randomRoute(sim::Rng& rng, bool fromOwner, int ids) {
   std::vector<NodeId> route;
-  route.push_back(fromOwner ? kOwner
-                            : static_cast<NodeId>(rng.uniformInt(0, kNodes - 1)));
+  route.push_back(fromOwner ? kOwner : randomNode(rng, ids));
   const auto len = rng.uniformInt(1, 6);
   for (std::int64_t i = 0; i < len; ++i) {
     NodeId next;
     do {
-      next = static_cast<NodeId>(rng.uniformInt(0, kNodes - 1));
+      next = randomNode(rng, ids);
     } while (std::find(route.begin(), route.end(), next) != route.end());
     route.push_back(next);
   }
   // Occasionally invalid: a loop, or a route that does not start here.
   if (rng.bernoulli(0.03)) route.push_back(route[1]);
-  if (rng.bernoulli(0.03)) route.front() = static_cast<NodeId>(kNodes - 1);
+  if (rng.bernoulli(0.03)) route.front() = static_cast<NodeId>(ids - 1);
   return route;
 }
 
-LinkId randomLink(sim::Rng& rng) {
-  return LinkId{static_cast<NodeId>(rng.uniformInt(0, kNodes - 1)),
-                static_cast<NodeId>(rng.uniformInt(0, kNodes - 1))};
+LinkId randomLink(sim::Rng& rng, int ids) {
+  return LinkId{randomNode(rng, ids), randomNode(rng, ids)};
 }
 
-std::vector<Op> randomOps(std::uint64_t seed, std::size_t n) {
+std::vector<Op> randomOps(std::uint64_t seed, std::size_t n, int ids) {
   sim::Rng rng(seed);
   std::vector<Op> ops;
   Time now = Time::zero();
   std::vector<std::vector<NodeId>> inserted;
+  // Routes marked while (most likely) no stored path holds them, queued to
+  // be inserted later: their marks predate the paths.
+  std::vector<std::vector<NodeId>> markedAhead;
   for (std::size_t i = 0; i < n; ++i) {
     // Steps of 0 make equal timestamps (eviction and lookup tie-breaks).
     now += Time::millis(rng.bernoulli(0.3) ? 0 : rng.uniformInt(1, 400));
@@ -534,15 +548,20 @@ std::vector<Op> randomOps(std::uint64_t seed, std::size_t n) {
     const double pick = rng.uniform();
     if (pick < 0.30) {
       op.kind = OpKind::kInsert;
-      op.route = randomRoute(rng, true);
+      if (!markedAhead.empty() && rng.bernoulli(0.2)) {
+        op.route = std::move(markedAhead.back());
+        markedAhead.pop_back();
+      } else {
+        op.route = randomRoute(rng, true, ids);
+      }
       op.origin = static_cast<net::RouteOrigin>(rng.uniformInt(0, 8));
       inserted.push_back(op.route);
     } else if (pick < 0.42) {
       op.kind = OpKind::kLookup;
-      op.dest = static_cast<NodeId>(rng.uniformInt(0, kNodes - 1));
+      op.dest = randomNode(rng, ids);
     } else if (pick < 0.56) {
       op.kind = OpKind::kLookupFiltered;
-      op.dest = static_cast<NodeId>(rng.uniformInt(0, kNodes - 1));
+      op.dest = randomNode(rng, ids);
     } else if (pick < 0.64) {
       op.kind = OpKind::kRemoveLink;
       // Mostly a link some insert used, so removals actually cut paths.
@@ -553,28 +572,38 @@ std::vector<Op> randomOps(std::uint64_t seed, std::size_t n) {
             rng.uniformInt(0, static_cast<std::int64_t>(r.size()) - 2));
         op.link = LinkId{r[j], r[j + 1]};
       } else {
-        op.link = randomLink(rng);
+        op.link = randomLink(rng, ids);
       }
     } else if (pick < 0.72) {
       op.kind = OpKind::kMarkUsed;
-      op.route = randomRoute(rng, rng.bernoulli(0.5));
+      op.route = randomRoute(rng, rng.bernoulli(0.5), ids);
+      if (rng.bernoulli(0.25)) markedAhead.push_back(op.route);
     } else if (pick < 0.76) {
       op.kind = OpKind::kExpire;
       op.cutoff = now - Time::millis(rng.uniformInt(0, 3000));
     } else if (pick < 0.79) {
       op.kind = OpKind::kContainsLink;
-      op.link = randomLink(rng);
+      // Half the time a link some insert used, so the answer varies.
+      if (!inserted.empty() && rng.bernoulli(0.5)) {
+        const auto& r = inserted[static_cast<std::size_t>(rng.uniformInt(
+            0, static_cast<std::int64_t>(inserted.size()) - 1))];
+        const auto j = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(r.size()) - 2));
+        op.link = LinkId{r[j], r[j + 1]};
+      } else {
+        op.link = randomLink(rng, ids);
+      }
     } else if (pick < 0.88) {
       op.kind = OpKind::kNegInsert;
-      op.link = randomLink(rng);
+      op.link = randomLink(rng, ids);
       op.origin = rng.bernoulli(0.2) ? net::RouteOrigin::kNone
                                      : net::RouteOrigin::kMacFeedback;
     } else if (pick < 0.92) {
       op.kind = OpKind::kNegContains;
-      op.link = randomLink(rng);
+      op.link = randomLink(rng, ids);
     } else if (pick < 0.95) {
       op.kind = OpKind::kNegErase;
-      op.link = randomLink(rng);
+      op.link = randomLink(rng, ids);
     } else if (pick < 0.97) {
       op.kind = OpKind::kNegSize;
     } else if (pick < 0.995) {
@@ -742,13 +771,11 @@ struct Capacities {
   std::size_t neg;
 };
 
-class CacheOracleTest : public ::testing::TestWithParam<Capacities> {};
-
-TEST_P(CacheOracleTest, RandomOpSequencesMatchTheOriginalCaches) {
-  const Capacities cap = GetParam();
+/// Node ids are drawn from 0..ids-1.
+void expectOracleMatch(const Capacities& cap, int ids) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const std::vector<Op> ops = randomOps(seed, 600);
+    const std::vector<Op> ops = randomOps(seed, 600, ids);
     const auto want =
         run<oracle::RouteCache, oracle::LinkCache, oracle::NegativeCache>(
             ops, cap.path, cap.link, cap.neg);
@@ -758,10 +785,27 @@ TEST_P(CacheOracleTest, RandomOpSequencesMatchTheOriginalCaches) {
   }
 }
 
+class CacheOracleTest : public ::testing::TestWithParam<Capacities> {};
+
+TEST_P(CacheOracleTest, RandomOpSequencesMatchTheOriginalCaches) {
+  expectOracleMatch(GetParam(), kNodes);
+}
+
+// Ids up to 399, where RouteCache's 64-bit node mask aliases.
+class WideIdCacheOracleTest : public ::testing::TestWithParam<Capacities> {};
+
+TEST_P(WideIdCacheOracleTest, RandomOpSequencesMatchTheOriginalCaches) {
+  expectOracleMatch(GetParam(), 400);
+}
+
 // Small capacities overflow constantly; large ones never do.
 INSTANTIATE_TEST_SUITE_P(Capacities, CacheOracleTest,
                          ::testing::Values(Capacities{1, 1, 1},
                                            Capacities{4, 6, 3},
+                                           Capacities{16, 24, 8},
+                                           Capacities{512, 512, 64}));
+INSTANTIATE_TEST_SUITE_P(Capacities, WideIdCacheOracleTest,
+                         ::testing::Values(Capacities{4, 6, 3},
                                            Capacities{16, 24, 8},
                                            Capacities{512, 512, 64}));
 
@@ -776,31 +820,107 @@ TEST(RouteHasDuplicatesTest, MatchesASet) {
   }
 }
 
-TEST(RouteCacheBoundTest, LinkTableHoldsOnlyStoredLinks) {
+TEST(LinkMapTest, EraseIfMatchesAMap) {
+  sim::Rng rng(7);
+  LinkMap<int> map;
+  std::map<LinkId, int> want;
+  const auto randomKey = [&] {
+    return LinkId{static_cast<NodeId>(rng.uniformInt(0, 9)),
+                  static_cast<NodeId>(rng.uniformInt(0, 9))};
+  };
+  const auto expectSameEntries = [&] {
+    for (NodeId from = 0; from < 10; ++from) {
+      for (NodeId to = 0; to < 10; ++to) {
+        const auto it = want.find(LinkId{from, to});
+        const int* got = map.find(LinkId{from, to});
+        ASSERT_EQ(got != nullptr, it != want.end());
+        if (got != nullptr) {
+          EXPECT_EQ(*got, it->second);
+        }
+      }
+    }
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const double pick = rng.uniform();
+    if (pick < 0.6) {
+      const LinkId key = randomKey();
+      const int value = static_cast<int>(rng.uniformInt(0, 99));
+      *map.tryEmplace(key, value).first = value;
+      want[key] = value;
+    } else if (pick < 0.9) {
+      const LinkId key = randomKey();
+      EXPECT_EQ(map.erase(key), want.erase(key) == 1);
+    } else {
+      // Erasing inside probe runs, including ones that wrap around the
+      // bucket array, shifts later entries back into visited buckets.
+      const int below = static_cast<int>(rng.uniformInt(0, 99));
+      map.eraseIf([below](int v) { return v < below; });
+      std::erase_if(want, [below](const auto& e) { return e.second < below; });
+    }
+    ASSERT_EQ(map.size(), want.size()) << "step " << step;
+    if (step % 100 == 0) expectSameEntries();
+  }
+  expectSameEntries();
+}
+
+// The mark table holds a link only while its last mark is at or after the
+// last expiry cutoff; inserts, evictions and truncations never touch it.
+TEST(RouteCacheBoundTest, ExpiryPurgesEveryMarkOlderThanItsCutoff) {
   sim::Rng rng(5);
   RouteCache cache(kOwner, 128);
+  std::map<LinkId, Time> lastMark;
+  Time now = Time::zero();
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 200; ++i) {
+      now += Time::millis(rng.uniformInt(0, 20));
+      // Fresh routes over a wide id space: most marked links are new, and
+      // most are held by no stored path.
+      std::vector<NodeId> route{kOwner};
+      const auto len = rng.uniformInt(1, 8);
+      while (static_cast<std::int64_t>(route.size()) <= len) {
+        const auto next = static_cast<NodeId>(rng.uniformInt(1, 100000));
+        if (std::find(route.begin(), route.end(), next) == route.end()) {
+          route.push_back(next);
+        }
+      }
+      if (rng.bernoulli(0.5)) cache.insert(route, now);
+      if (rng.bernoulli(0.5)) {
+        cache.markLinksUsed(route, now);
+        for (std::size_t j = 0; j + 1 < route.size(); ++j) {
+          lastMark[LinkId{route[j], route[j + 1]}] = now;
+        }
+      }
+    }
+    EXPECT_EQ(cache.markTableSize(), lastMark.size());
+    // Cutoffs move both ways, as the adaptive timeout's do.
+    const Time cutoff = now - Time::millis(rng.uniformInt(0, 3000));
+    cache.expireUnusedSince(cutoff);
+    std::erase_if(lastMark, [&](const auto& m) { return m.second < cutoff; });
+    EXPECT_EQ(cache.markTableSize(), lastMark.size()) << "round " << round;
+  }
+  cache.clear();
+  EXPECT_EQ(cache.markTableSize(), 0u);
+}
+
+TEST(RouteCacheBoundTest, InsertsAndRemovalsRecordNoMarks) {
+  sim::Rng rng(6);
+  RouteCache cache(kOwner, 128);
   for (int i = 0; i < 10000; ++i) {
-    // Fresh routes over a large id space: nearly every link is new, so a
-    // table that kept evicted paths' links would grow without bound.
     std::vector<NodeId> route{kOwner};
     const auto len = rng.uniformInt(1, 8);
     while (static_cast<std::int64_t>(route.size()) <= len) {
-      const auto next = static_cast<NodeId>(rng.uniformInt(1, 100000));
+      const auto next = static_cast<NodeId>(rng.uniformInt(1, 400));
       if (std::find(route.begin(), route.end(), next) == route.end()) {
         route.push_back(next);
       }
     }
     cache.insert(route, Time::millis(i));
-  }
-  std::set<LinkId> stored;
-  for (const auto& p : cache.paths()) {
-    for (std::size_t j = 0; j + 1 < p.hops.size(); ++j) {
-      stored.insert(LinkId{p.hops[j], p.hops[j + 1]});
+    if (i % 10 == 0) {
+      cache.removeLink(LinkId{route[0], route[1]}, Time::millis(i));
     }
   }
   EXPECT_EQ(cache.size(), 128u);
-  EXPECT_LE(cache.linkTableSize(), stored.size());
-  EXPECT_EQ(cache.linkTableSize(), stored.size());
+  EXPECT_EQ(cache.markTableSize(), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "src/core/dsr_agent.h"
 #include "src/core/dsr_config.h"
+#include "src/core/route_cache.h"
 #include "tests/testing/dsr_fixture.h"
 
 namespace manet::core {
@@ -194,6 +195,48 @@ TEST(AdaptiveExpiryTest, TimeoutIsMaxAtStartThenAdapts) {
   fx.run(Time::seconds(30));
   EXPECT_TRUE(fx.dsr(0).routeCache().findRoute(2));
   EXPECT_GE(fx.dsr(0).currentExpiryTimeout(), Time::seconds(29));
+}
+
+// Link-use marks exist only for expiry: with it off no node records any,
+// and with it on a pass purges the marks older than its cutoff.
+const RouteCache& pathCache(DsrFixture& fx, NodeId id) {
+  return dynamic_cast<const RouteCache&>(fx.dsr(id).routeCache());
+}
+
+TEST(ExpiryMarksTest, NoMarksWithoutExpiry) {
+  DsrFixture fx;  // base config, no expiry
+  fx.addLine(4);
+  for (int i = 0; i < 5; ++i) {
+    fx.network->scheduler().scheduleAt(
+        Time::seconds(i) + Time::millis(10), [&fx, i] {
+          fx.dsr(0).sendData(3, 512, 0, static_cast<std::uint64_t>(i));
+          fx.dsr(3).sendData(0, 512, 1, static_cast<std::uint64_t>(i));
+        });
+  }
+  fx.run(Time::seconds(6));
+  ASSERT_EQ(fx.metrics().dataDelivered, 10u);
+  for (NodeId id = 0; id < 4; ++id) {
+    EXPECT_GT(pathCache(fx, id).size(), 0u) << "node " << id;
+    EXPECT_EQ(pathCache(fx, id).markTableSize(), 0u) << "node " << id;
+  }
+}
+
+TEST(ExpiryMarksTest, ExpiryPassPurgesMarksUnusedForTheTimeout) {
+  DsrConfig cfg = makeVariantConfig(Variant::kStaticExpiry, Time::seconds(5));
+  DsrFixture fx(cfg);
+  fx.addLine(3);
+  for (int i = 0; i < 3; ++i) {
+    fx.network->scheduler().scheduleAt(
+        Time::seconds(i) + Time::millis(10), [&fx, i] {
+          fx.dsr(0).sendData(2, 512, 0, static_cast<std::uint64_t>(i));
+        });
+  }
+  fx.run(Time::seconds(3));
+  // Forwarder 1 marked at least the data route's two links.
+  EXPECT_GE(pathCache(fx, 1).markTableSize(), 2u);
+  // No traffic after t ≈ 2 s, so a pass after t ≈ 7 s drops every mark.
+  fx.run(Time::seconds(8));
+  EXPECT_EQ(pathCache(fx, 1).markTableSize(), 0u);
 }
 
 TEST(AdaptiveExpiryTest, NoExpiryConfigReportsInfiniteTimeout) {
