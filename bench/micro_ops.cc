@@ -539,6 +539,58 @@ void BM_SchedulerHold(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerHold)->Arg(1000);
 
+// Phy fan-out shape: `chains` transmitters take turns on the air. Each
+// transmission dispatch schedules 16 interleaved (rxStart, rxEnd) pairs,
+// at now + 1 us and at end + 1 us, as Channel::transmit does for 16
+// receivers, plus the chain's next transmission after the frame and a
+// backoff. Equal-time keys arrive in bursts, which the queue's runs absorb.
+class FanoutModel {
+ public:
+  explicit FanoutModel(int chains) {
+    for (int i = 0; i < chains; ++i) transmit();
+  }
+  sim::Scheduler& sched() { return sched_; }
+  std::uint64_t sum() const { return sum_; }
+
+ private:
+  static constexpr int kReceivers = 16;
+
+  std::int64_t draw(std::int64_t n) {
+    x_ ^= x_ << 13;
+    x_ ^= x_ >> 7;
+    x_ ^= x_ << 17;
+    return static_cast<std::int64_t>((x_ >> 8) % static_cast<std::uint64_t>(n));
+  }
+  void transmit() {
+    const sim::Time start = sched_.now() + sim::Time::micros(1);
+    const sim::Time end = start + sim::Time::micros(100 + draw(2000));
+    for (int r = 0; r < kReceivers; ++r) {
+      sched_.scheduleAt(start, [this, r] { sum_ += static_cast<unsigned>(r); });
+      const std::array<std::uint64_t, 5> frame{x_, 1, 2, 3, 4};
+      sched_.scheduleAt(end, [this, frame] { sum_ += frame[0] + frame[4]; });
+    }
+    sched_.scheduleAt(end + sim::Time::micros(10 + draw(600)),
+                      [this] { transmit(); });
+  }
+
+  sim::Scheduler sched_;
+  std::uint64_t x_ = 0x9e3779b97f4a7c15ull;
+  std::uint64_t sum_ = 0;
+};
+
+void BM_SchedulerFanout(benchmark::State& state) {
+  FanoutModel m(static_cast<int>(state.range(0)));
+  m.sched().runUntil(sim::Time::seconds(1));  // reach the steady state
+  const std::uint64_t before = m.sched().executedCount();
+  for (auto _ : state) {
+    m.sched().runUntil(m.sched().now() + sim::Time::millis(10));
+  }
+  benchmark::DoNotOptimize(m.sum());
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(m.sched().executedCount() - before));
+}
+BENCHMARK(BM_SchedulerFanout)->Arg(8);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -56,13 +56,11 @@ void Scheduler::cancel(EventId id) {
 }
 
 Time Scheduler::nextEventAt() {
-  const EventKey* top = queue_.peek();
-  return top == nullptr ? Time::max() : top->at;
+  return queue_.empty() ? Time::max() : queue_.top().at;
 }
 
 void Scheduler::runUntil(Time until) {
-  while (const EventKey* top = queue_.peek()) {
-    if (top->at > until) break;
+  while (!queue_.empty() && queue_.top().at <= until) {
     const EventKey k = queue_.pop();
     // Move the closure out and free its slot first: the handler may
     // schedule events, which can reuse the slot or grow slots_. The closure

@@ -31,9 +31,12 @@ struct DispatchSpan {
 /// Single-threaded discrete-event scheduler.
 ///
 /// Events at equal timestamps fire in scheduling (FIFO) order, which keeps
-/// runs deterministic. The pending set is an EventQueue of 24-byte keys;
-/// each event's closure and category live in a slot of `slots_`, recycled
-/// through a free list, so the heap never moves a closure. Cancellation is
+/// runs deterministic. The pending set is an EventQueue: a heap of
+/// same-timestamp runs of 24-byte keys, so a broadcast's burst of
+/// equal-time receiver events costs one heap push and one sift, not one
+/// per receiver. Each event is still dispatched on its own. Its closure
+/// and category live in a slot of `slots_`, recycled through a free list,
+/// so the queue never moves a closure. Cancellation is
 /// lazy: a cancelled key is skipped when it reaches the head of the queue,
 /// and only then is its closure destroyed and its slot freed. Event status
 /// is tracked in a dense per-id window (ids are assigned sequentially and
@@ -99,8 +102,9 @@ class Scheduler {
   void setProfiler(prof::Profiler* p) { prof_ = p; }
   prof::Profiler* profiler() const { return prof_; }
 
-  /// Pending-event footprint for the event allocation-site tally: one heap
-  /// key plus one closure slot.
+  /// Pending-event footprint for the event allocation-site tally: one
+  /// 24-byte key plus one closure slot. A key queued behind its run's head
+  /// sits in a 16-byte run node instead, so this is an upper bound.
   static constexpr std::size_t eventEntryBytes() {
     return sizeof(EventKey) + sizeof(Slot);
   }

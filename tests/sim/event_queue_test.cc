@@ -1,13 +1,14 @@
 // Pending-set contract: the event queue must pop in strictly ascending
 // (at, id) order — the FIFO-among-ties rule every determinism guarantee in
 // the simulator rests on. The reference is an ordered std::set of
-// (at, id) pairs, which shares no code with the heap it checks. "Both
-// kinds" in the test names means the queue and that reference.
+// (at, id) pairs, which shares no code with the heap of runs it checks.
+// "Both kinds" in the test names means the queue and that reference.
 #include "src/sim/event_queue.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <map>
 #include <set>
@@ -68,9 +69,10 @@ TEST(EventQueueTest, BothKindsPopIdenticalStrictlyOrderedSequences) {
   ASSERT_EQ(q.size(), times.size());
   ASSERT_EQ(oracle.size(), times.size());  // (at, id) pairs are distinct
   std::size_t popped = 0;
-  while (const EventKey* top = q.peek()) {
+  while (!q.empty()) {
     const Popped want = popMin(oracle);
-    ASSERT_EQ(Popped(top->at, top->id), want) << "peek " << popped;
+    const EventKey top = q.top();
+    ASSERT_EQ(Popped(top.at, top.id), want) << "peek " << popped;
     const EventKey k = q.pop();
     ASSERT_EQ(Popped(k.at, k.id), want) << "pop " << popped;
     EXPECT_EQ(k.slot, static_cast<std::uint32_t>(k.id));  // rides along
@@ -111,7 +113,7 @@ TEST(EventQueueTest, InterleavedPushPopStaysOrderedOnBothKinds) {
     const Popped want = popMin(oracle);
     // Alternate peek-then-pop (the Scheduler's pattern) with a bare pop.
     if (popped % 2 == 0) {
-      ASSERT_EQ(Popped(q.peek()->at, q.peek()->id), want) << "pop " << popped;
+      ASSERT_EQ(Popped(q.top().at, q.top().id), want) << "pop " << popped;
     }
     const EventKey got = q.pop();
     ASSERT_EQ(Popped(got.at, got.id), want) << "pop " << popped;
@@ -120,9 +122,169 @@ TEST(EventQueueTest, InterleavedPushPopStaysOrderedOnBothKinds) {
     ++popped;
   }
   EXPECT_EQ(lastPopped, Time::max());
-  EXPECT_EQ(q.peek(), nullptr);
+  EXPECT_EQ(q.size(), 0u);
   EXPECT_TRUE(q.empty());
   EXPECT_TRUE(oracle.empty());
+}
+
+/// Drives an EventQueue and the set oracle through the same operations.
+/// push() issues the next ascending id (as the Scheduler does); pop()
+/// checks the queue's top and popped key, its slot, and both sizes against
+/// the oracle.
+class Checked {
+ public:
+  EventId push(Time at) {
+    const EventId id = next_++;
+    q_.push(EventKey{at, id, slotOf(id)});
+    oracle_.emplace(at, id);
+    EXPECT_EQ(q_.size(), oracle_.size());
+    return id;
+  }
+  Popped pop() {
+    const Popped want = popMin(oracle_);
+    EXPECT_EQ(Popped(q_.top().at, q_.top().id), want);
+    const EventKey k = q_.pop();
+    EXPECT_EQ(Popped(k.at, k.id), want);
+    EXPECT_EQ(k.slot, slotOf(k.id));
+    EXPECT_EQ(q_.size(), oracle_.size());
+    EXPECT_EQ(q_.empty(), oracle_.empty());
+    return want;
+  }
+  void drain() {
+    while (!oracle_.empty()) pop();
+    EXPECT_TRUE(q_.empty());
+  }
+  std::size_t size() const { return q_.size(); }
+
+ private:
+  static std::uint32_t slotOf(EventId id) {
+    return static_cast<std::uint32_t>(id * 7 + 3);
+  }
+  EventQueue q_;
+  Oracle oracle_;
+  EventId next_ = 1;
+};
+
+TEST(EventQueueTest, TransmitShapedAlternatingRunsPopInOrder) {
+  // Channel::transmit's shape: per receiver, one push at now+1us (rxStart)
+  // then one at end+1us (rxEnd), so pushes alternate between two
+  // timestamps. Airtimes come from a small set, so ends of different
+  // transmissions coincide and one timestamp collects several runs.
+  Checked c;
+  const std::array<std::int64_t, 3> airtimeUs{100, 200, 300};
+  Time now = Time::zero();
+  for (int tx = 0; tx < 40; ++tx) {
+    const Time start = now + Time::micros(1);
+    const Time end = start + Time::micros(airtimeUs[tx % 3]);
+    for (int r = 0; r < 16; ++r) {
+      c.push(start);
+      c.push(end);
+    }
+    for (int i = 0; i < 20; ++i) now = c.pop().first;
+  }
+  c.drain();
+}
+
+TEST(EventQueueTest, ThreeWayInterleaveOpensSecondRunsForOneTimestamp) {
+  // Three timestamps pushed round robin: each push falls outside the
+  // two-run window, so every timestamp ends up with many runs. Their FIFO
+  // order must still hold across runs.
+  Checked c;
+  const std::array<Time, 3> at{Time::micros(30), Time::micros(10),
+                               Time::micros(20)};
+  for (int i = 0; i < 30; ++i) c.push(at[static_cast<std::size_t>(i % 3)]);
+  EXPECT_EQ(c.size(), 30u);
+  c.drain();
+}
+
+TEST(EventQueueTest, PushesAtTheDrainingRunsTimestampQueueBehindIt) {
+  Checked c;
+  const Time t = Time::micros(5);
+  for (int i = 0; i < 4; ++i) c.push(t);
+  c.push(Time::micros(9));
+  c.pop();
+  // The run being drained is still open: these join its tail.
+  c.push(t);
+  c.push(t);
+  c.pop();
+  // Two later timestamps push the draining run out of the window, so the
+  // next key at t opens a second run while the first is still at the top.
+  c.push(Time::micros(7));
+  c.push(Time::micros(8));
+  c.push(t);
+  c.push(t);
+  c.drain();
+}
+
+TEST(EventQueueTest, RetiredRunThenNewPushAtSameTimestamp) {
+  Checked c;
+  const Time t = Time::micros(5);
+  for (int i = 0; i < 3; ++i) c.push(t);
+  c.push(Time::micros(6));
+  for (int i = 0; i < 3; ++i) c.pop();  // the run at t retires
+  c.push(t);                            // opens a fresh run at t
+  c.push(Time::micros(6));              // joins the still-open run
+  c.push(t);
+  c.drain();
+  // Reuse of freed runs and nodes after a full drain.
+  for (int i = 0; i < 5; ++i) {
+    c.push(t);
+    c.push(Time::micros(6));
+  }
+  c.drain();
+}
+
+TEST(EventQueueTest, RandomTieHeavyOperationsMatchTheOracle) {
+  // Few distinct timestamps, random push/pop mix: exercises joins, window
+  // evictions, in-place head advances and run retirement together.
+  Checked c;
+  std::uint64_t x = 0x2545f4914f6cdd1dull;
+  Time now = Time::zero();
+  for (int step = 0; step < 20000; ++step) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    if (x % 5 < 3 || c.size() == 0) {
+      c.push(now + Time::micros(static_cast<std::int64_t>((x >> 8) % 4)));
+    } else {
+      now = c.pop().first;
+    }
+  }
+  c.drain();
+}
+
+TEST(EventQueueTest, SchedulerFanoutWithMidRunCancelStaysExact) {
+  // One transmission fans out to 8 receivers: 8 starts at 1us and 8 ends
+  // at 50us, pushed alternately. A start in the middle of its run is
+  // cancelled, and one start handler schedules a zero-delay event, which
+  // queues behind the run it is drained from.
+  Scheduler sched;
+  std::vector<int> log;
+  std::vector<EventId> starts;
+  sched.scheduleAt(Time::zero(), [&] {
+    for (int r = 0; r < 8; ++r) {
+      starts.push_back(sched.scheduleAt(Time::micros(1), [&, r] {
+        log.push_back(r);
+        if (r == 2) sched.scheduleAfter(Time::zero(), [&] { log.push_back(8); });
+      }));
+      sched.scheduleAt(Time::micros(50), [&, r] { log.push_back(100 + r); });
+    }
+  });
+  sched.runUntil(Time::zero());
+  EXPECT_EQ(sched.pendingCount(), 16u);
+  EXPECT_EQ(sched.queueHighWater(), 16u);  // events, not runs
+  sched.cancel(starts[4]);
+  EXPECT_EQ(sched.pendingCount(), 15u);
+  EXPECT_EQ(sched.nextEventAt(), Time::micros(1));
+  sched.runUntil(Time::micros(1));
+  EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3, 5, 6, 7, 8}));
+  EXPECT_EQ(sched.pendingCount(), 8u);
+  EXPECT_EQ(sched.queueHighWater(), 16u);
+  sched.run();
+  EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3, 5, 6, 7, 8, 100, 101, 102, 103,
+                                   104, 105, 106, 107}));
+  EXPECT_EQ(sched.executedCount(), 1u + 7u + 1u + 8u);
+  EXPECT_EQ(sched.pendingCount(), 0u);
 }
 
 TEST(EventQueueTest, SchedulerBehavesIdenticallyOnBothQueues) {
