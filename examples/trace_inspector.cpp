@@ -8,8 +8,7 @@
 // or, with no trace at hand, `./trace_inspector --demo` runs a small
 // congested scenario, writes a trace, and inspects it in one go.
 //
-// A BENCH report is read with tools/manet_prof, one packet's causal chain
-// with `tools/manet_trace --chain <uid>`.
+// One packet's causal chain is read with `tools/manet_trace --chain <uid>`.
 #include <algorithm>
 #include <cstdio>
 #include <map>

@@ -9,7 +9,7 @@
 //  * Zero allocations when on: fixed-size per-site arrays only.
 //  * Deterministic: counters are driven purely by simulation behaviour
 //    (allocation order), never by the wall clock, so two runs of the same
-//    seed produce identical tallies — `manet_prof --diff` relies on this.
+//    seed produce identical tallies.
 //
 // The tracker is installed per thread by the owning Profiler (parallel sweep
 // workers each run their own scenario, profiler and tracker), and

@@ -202,12 +202,11 @@ struct Report {
   HotspotReport hotspot;
 };
 
-/// The run's per-category breakdown as one JSON object (used by the run
-/// export and by bench/perf_baseline).
+/// The run's per-category breakdown as one JSON object (the run export's
+/// "profile" value).
 std::string toJson(const Report& r);
 
-/// The hotspot sub-report alone (embedded in toJson; also used directly by
-/// bench/perf_baseline for schema-v2 BENCH records).
+/// The hotspot sub-report alone (embedded in toJson).
 std::string hotspotJson(const HotspotReport& h);
 
 /// Process peak resident set size in bytes (VmHWM; getrusage fallback).

@@ -203,15 +203,6 @@ RunResult Scenario::run() {
   r.schedQueuePeak = network_->scheduler().queueHighWater();
   if (prof::Profiler* p = network_->profiler()) {
     r.profile = p->report();
-    if (r.profile.enabled) {
-      // Final node positions for the spatial heatmap; taken after the
-      // report snapshot so the position queries don't pollute it.
-      r.nodePositions.reserve(network_->size());
-      for (std::size_t n = 0; n < network_->size(); ++n) {
-        r.nodePositions.push_back(network_->positionOf(
-            static_cast<net::NodeId>(n), cfg_.duration));
-      }
-    }
   }
   if (sampler_) r.series = sampler_->takeSeries();
   if (checker_) {

@@ -92,10 +92,6 @@ struct RunResult {
   /// Per-category wall-time breakdown (profile.enabled is false unless
   /// cfg.prof.enabled was set for the run).
   prof::Report profile;
-  /// End-of-run node positions, captured only for profiled runs so the
-  /// per-entity costs in profile.hotspot can be rendered as a spatial
-  /// heatmap (telemetry::heatmapCsv). Empty otherwise.
-  std::vector<Vec2> nodePositions;
 };
 
 /// A live scenario: the network plus its traffic sources. Exposed (rather

@@ -200,36 +200,6 @@ std::string seriesCsv(const SampleSeries& s) {
   return out;
 }
 
-std::string heatmapCsv(const scenario::RunResult& r,
-                       std::string_view scenarioName) {
-  if (!r.profile.enabled || r.profile.hotspot.entities.empty()) return {};
-  std::string out =
-      "scenario,node,x,y,activations,self_seconds,frames_heard";
-  for (std::size_t c = 0; c < prof::kNumCategories; ++c) {
-    out += ',';
-    out += prof::toString(static_cast<prof::Category>(c));
-    out += "_self_seconds";
-  }
-  out += '\n';
-  char buf[160];
-  for (const prof::EntityReport& e : r.profile.hotspot.entities) {
-    Vec2 pos{};
-    if (e.node < r.nodePositions.size()) pos = r.nodePositions[e.node];
-    out += scenarioName;
-    std::snprintf(buf, sizeof(buf), ",%u,%.6g,%.6g,%" PRIu64 ",%.9g,%" PRIu64,
-                  e.node, pos.x, pos.y, e.activations,
-                  static_cast<double>(e.selfNs) / 1e9, e.framesHeard);
-    out += buf;
-    for (std::size_t c = 0; c < prof::kNumCategories; ++c) {
-      std::snprintf(buf, sizeof(buf), ",%.9g",
-                    static_cast<double>(e.categorySelfNs[c]) / 1e9);
-      out += buf;
-    }
-    out += '\n';
-  }
-  return out;
-}
-
 bool writeFile(const std::string& path, std::string_view content) {
   // Crash safety satellite: every structured artifact lands via
   // write-temp-fsync-rename, so readers only ever see absent-or-complete.

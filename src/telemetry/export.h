@@ -46,17 +46,6 @@ std::string aggregateJson(const scenario::AggregateResult& agg,
 /// Sampled series as CSV (header + one row per probe).
 std::string seriesCsv(const SampleSeries& s);
 
-/// Spatial cost heatmap from a profiled run: one row per node with its
-/// end-of-run position (r.nodePositions), per-entity cost attribution
-/// (activations, self time, frames heard) and the per-category self-time
-/// split. Empty string when the run carries no hotspot data (profiling was
-/// off). Plot x,y against any cost column to see *where* the simulation
-/// spends its time on the field. An optional `scenarioName` prefixes every
-/// row so multi-scenario files (bench/perf_baseline --heatmap) stay
-/// self-describing.
-std::string heatmapCsv(const scenario::RunResult& r,
-                       std::string_view scenarioName = {});
-
 /// Write `content` to `path` crash-safely (util::atomicWriteFile:
 /// write-temp-fsync-rename), creating parent directories as needed — a
 /// SIGKILL mid-export can never leave a torn artifact. Returns false (and

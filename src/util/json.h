@@ -1,11 +1,9 @@
 // Minimal recursive-descent JSON parser: full value trees (objects,
 // arrays, strings, numbers, bools, null), no external dependency.
 //
-// The telemetry layer's trace_reader covers flat JSONL lines; this parser
-// exists for the nested documents the repo itself writes — BENCH_*.json
-// perf baselines and structured run exports — so tooling (perf_baseline
-// --compare, trace_inspector --bench) can read them back. It is a reader
-// for our own well-formed output, not a hardened general-purpose parser:
+// It exists for the documents the repo itself writes — JSONL trace lines
+// and campaign journals — so tooling can read them back. It is a reader for
+// our own well-formed output, not a hardened general-purpose parser:
 // \uXXXX escapes are preserved verbatim rather than decoded.
 #pragma once
 
