@@ -91,7 +91,7 @@ void AodvAgent::sendData(net::NodeId dst, std::uint32_t payloadBytes,
 
 void AodvAgent::onReceive(net::PacketPtr p, net::NodeId from) {
   // Runs inside the receiver's MAC/PHY event; charge AODV work to routing.
-  prof::Scope profScope(sched_.profiler(), prof::Category::kRouting, self_);
+  prof::Scope profScope(sched_.profiler(), prof::Category::kRouting);
   switch (p->kind) {
     case net::PacketKind::kData:
       handleData(p, from);

@@ -86,7 +86,7 @@ sim::Time DsrAgent::currentExpiryTimeout() const {
 void DsrAgent::sendData(net::NodeId dst, std::uint32_t payloadBytes,
                         std::uint32_t flowId, std::uint64_t seqInFlow) {
   // Called from CBR ticks (and tests); charge origination to routing.
-  prof::Scope profScope(sched_.profiler(), prof::Category::kRouting, self_);
+  prof::Scope profScope(sched_.profiler(), prof::Category::kRouting);
   if (metrics_) ++metrics_->dataOriginated;
   // manet-lint: allow(causal-id): root origination — new application data
   // starts a causal chain, it has no parent packet
@@ -194,7 +194,7 @@ void DsrAgent::transmitAlongRoute(std::shared_ptr<net::Packet> p) {
 void DsrAgent::onReceive(net::PacketPtr p, net::NodeId from) {
   // Runs inside the receiver's MAC/PHY event; the scope charges DSR
   // processing to routing instead.
-  prof::Scope profScope(sched_.profiler(), prof::Category::kRouting, self_);
+  prof::Scope profScope(sched_.profiler(), prof::Category::kRouting);
   // Hearing a neighbor is positive evidence the link to it works: lift any
   // (possibly congestion-induced) quarantine.
   if (cfg_.negativeCache) neg_.erase(net::LinkId{self_, from});
@@ -564,7 +564,7 @@ void DsrAgent::drainSendBuffer() {
 // ------------------------------------------------------------------ errors
 
 void DsrAgent::onSendFailed(net::PacketPtr p, net::NodeId nextHop) {
-  prof::Scope profScope(sched_.profiler(), prof::Category::kRouting, self_);
+  prof::Scope profScope(sched_.profiler(), prof::Category::kRouting);
   const net::LinkId broken{self_, nextHop};
   const bool fake = oracle_ != nullptr &&
                     oracle_->linkValid(self_, nextHop, sched_.now());
@@ -740,7 +740,7 @@ void DsrAgent::handleErrorBroadcast(const net::PacketPtr& p) {
 // ------------------------------------------------------------------- tap
 
 void DsrAgent::onTap(const mac::Frame& f) {
-  prof::Scope profScope(sched_.profiler(), prof::Category::kRouting, self_);
+  prof::Scope profScope(sched_.profiler(), prof::Category::kRouting);
   if (cfg_.negativeCache) neg_.erase(net::LinkId{self_, f.src});
   if (!cfg_.promiscuousListening) return;
   if (!f.packet) return;

@@ -109,7 +109,7 @@ void DcfMac::scheduleAttempt() {
 }
 
 void DcfMac::attempt() {
-  prof::Scope profScope(sched_.profiler(), prof::Category::kMac, id_);
+  prof::Scope profScope(sched_.profiler(), prof::Category::kMac);
   pendingEvent_ = sim::kInvalidEvent;
   if (state_ != State::kContending || queue_.empty()) return;
   if (radio_.carrierBusy() || sched_.now() < navUntil_) {
@@ -195,7 +195,7 @@ void DcfMac::sendControl(FrameType type, net::NodeId dst,
 }
 
 void DcfMac::onFrame(const Frame& f) {
-  prof::Scope profScope(sched_.profiler(), prof::Category::kMac, id_);
+  prof::Scope profScope(sched_.profiler(), prof::Category::kMac);
   const sim::Time now = sched_.now();
   if (f.dst == id_) {
     switch (f.type) {
@@ -292,7 +292,7 @@ void DcfMac::onFrame(const Frame& f) {
 }
 
 void DcfMac::onCtsTimeout() {
-  prof::Scope profScope(sched_.profiler(), prof::Category::kMac, id_);
+  prof::Scope profScope(sched_.profiler(), prof::Category::kMac);
   pendingEvent_ = sim::kInvalidEvent;
   if (state_ != State::kAwaitCts) return;
   if (metrics_) ++metrics_->ctsTimeouts;
@@ -300,7 +300,7 @@ void DcfMac::onCtsTimeout() {
 }
 
 void DcfMac::onAckTimeout() {
-  prof::Scope profScope(sched_.profiler(), prof::Category::kMac, id_);
+  prof::Scope profScope(sched_.profiler(), prof::Category::kMac);
   pendingEvent_ = sim::kInvalidEvent;
   if (state_ != State::kAwaitAck) return;
   if (metrics_) ++metrics_->ackTimeouts;

@@ -53,9 +53,9 @@ class Network {
   telemetry::Tracer& tracer() { return tracer_; }
 
   /// Construct and attach the self-profiler when `cfg.installed()`; call
-  /// before the run starts (ideally before nodes are added). Profiling
-  /// reads only the wall clock — never sim time or sim RNG — so enabling
-  /// it cannot change a run's results. A non-installed config is a no-op.
+  /// before the run starts. Profiling reads only the wall clock — never
+  /// sim time or sim RNG — so enabling it cannot change a run's results.
+  /// A non-installed config is a no-op.
   void enableProfiling(const prof::ProfConfig& cfg);
   /// The installed profiler, or nullptr (subsystems use the scheduler's
   /// accessor on the hot path; this one is for reports).

@@ -16,7 +16,6 @@ sim::Time Channel::transmit(Radio& sender, const mac::Frame& f) {
   prune();
   active_.push_back(ActiveTx{&sender, pos, end});
 
-  std::uint32_t inRange = 0;
   // In-range tests use positions at transmission start. Frames last
   // microseconds; node movement within a frame is negligible (< 1 mm at
   // 20 m/s). The index visits receivers in attach (id) order, so delivery
@@ -27,7 +26,6 @@ sim::Time Channel::transmit(Radio& sender, const mac::Frame& f) {
         if (!blackouts_.empty() && linkBlocked(sender.id(), r.id(), now)) {
           return;
         }
-        ++inRange;
         Radio* rp = &r;
         sched_.scheduleAt(
             now + cfg_.propagationDelay,
@@ -38,12 +36,6 @@ sim::Time Channel::transmit(Radio& sender, const mac::Frame& f) {
             end + cfg_.propagationDelay, [rp, txId, f] { rp->rxEnd(txId, f); },
             prof::Category::kPhy);
       });
-  // Fan-out tally: how many radios this broadcast had to examine versus how
-  // many could actually hear it — the O(N) waste the grid index reclaims.
-  if (prof::Profiler* p = sched_.profiler()) {
-    p->recordFanout(static_cast<std::uint32_t>(index_->lastExamined()),
-                    inRange);
-  }
   return end;
 }
 

@@ -24,10 +24,8 @@ void NeighborIndex::registerId(Radio* r) { byId_[r->id()] = r; }
 
 Vec2 NeighborIndex::positionAt(net::NodeId id, sim::Time t) const {
   const Radio* r = byId_.at(id);
-  // Trajectory evaluation is mobility work wherever it runs; charge it to
-  // the queried node's per-entity row like every other position query.
-  prof::Scope profScope(sched_.profiler(), prof::Category::kMobility,
-                        static_cast<std::uint32_t>(id));
+  // Trajectory evaluation is mobility work wherever it runs.
+  prof::Scope profScope(sched_.profiler(), prof::Category::kMobility);
   return r->mobility().positionAt(t);
 }
 

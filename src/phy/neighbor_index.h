@@ -2,9 +2,9 @@
 //
 // The channel is a shared broadcast medium: every transmission must reach
 // exactly the radios within range of the transmitter. Doing that by scanning
-// every radio is O(N) per frame — the dominant cost on large scenarios (the
-// PR 8 fan-out histogram exists to show precisely this waste). NeighborIndex
-// is the seam that makes the fast implementation a swappable drop-in:
+// every radio is O(N) per frame — the dominant cost on large scenarios.
+// NeighborIndex is the seam that makes the fast implementation a swappable
+// drop-in:
 //
 //   * ScanNeighborIndex — the original full scan; zero bookkeeping, exact.
 //   * GridNeighborIndex — a uniform grid of cells sized so that only a
@@ -85,9 +85,9 @@ class NeighborIndex {
                               RadioVisitor fn) const = 0;
 
   /// Radios whose (possibly stale) indexed position the previous
-  /// forEachInRange call had to examine — the fan-out histogram's
-  /// "examined" input. A full scan examines everyone but the excluded
-  /// sender; the grid examines only the candidate cells.
+  /// forEachInRange call had to examine (perfbench's
+  /// `phy.examined_per_query`). A full scan examines everyone but the
+  /// excluded sender; the grid examines only the candidate cells.
   virtual std::size_t lastExamined() const = 0;
 
   /// Visit every attached radio in attach order (fault sweeps, tests).

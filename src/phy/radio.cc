@@ -15,10 +15,8 @@ Radio::Radio(net::NodeId id, const mobility::MobilityModel& mobility,
 
 Vec2 Radio::position() const {
   // Position queries dominate channel work; attribute the waypoint
-  // evaluation to mobility rather than the PHY/MAC event that needed it,
-  // and to this node's per-entity row.
-  prof::Scope profScope(sched_.profiler(), prof::Category::kMobility,
-                        static_cast<std::uint32_t>(id_));
+  // evaluation to mobility rather than the PHY/MAC event that needed it.
+  prof::Scope profScope(sched_.profiler(), prof::Category::kMobility);
   return mobility_.positionAt(sched_.now());
 }
 
@@ -58,13 +56,7 @@ sim::Time Radio::airtime(std::uint32_t bytes) const {
 
 void Radio::rxStart(std::uint64_t txId, double senderDistance) {
   if (!up_) return;  // crashed: deaf
-  prof::Scope profScope(sched_.profiler(), prof::Category::kPhy,
-                        static_cast<std::uint32_t>(id_));
-  // Frames-heard tally: every in-range arrival at a live radio, delivered
-  // or not — the per-node measure of broadcast pressure.
-  if (prof::Profiler* p = sched_.profiler()) {
-    p->countFrameHeard(static_cast<std::uint32_t>(id_));
-  }
+  prof::Scope profScope(sched_.profiler(), prof::Category::kPhy);
   // Receiving while transmitting always fails (half duplex).
   if (transmitting()) {
     ongoing_.push_back(OngoingRx{txId, true, senderDistance});
@@ -92,8 +84,7 @@ void Radio::rxStart(std::uint64_t txId, double senderDistance) {
 }
 
 void Radio::rxEnd(std::uint64_t txId, const mac::Frame& f) {
-  prof::Scope profScope(sched_.profiler(), prof::Category::kPhy,
-                        static_cast<std::uint32_t>(id_));
+  prof::Scope profScope(sched_.profiler(), prof::Category::kPhy);
   auto it = std::find_if(ongoing_.begin(), ongoing_.end(),
                          [txId](const OngoingRx& rx) {
                            return rx.txId == txId;

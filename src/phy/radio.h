@@ -27,10 +27,9 @@ class Radio {
 
   net::NodeId id() const { return id_; }
   Vec2 position() const;
-  /// position() without the per-entity mobility profiler scope: the
-  /// NeighborIndex hot loops evaluate dozens of candidate positions per
-  /// transmission, where a scope per call (two clock reads) would dominate
-  /// the loop. Attribution for these stays with the querying event's
+  /// position() without the mobility profiler scope: the NeighborIndex
+  /// hot loops evaluate dozens of candidate positions per transmission,
+  /// where a scope per call (two clock reads) would dominate the loop. Attribution for these stays with the querying event's
   /// category; all other callers use position().
   Vec2 positionQuiet() const;
   /// The trajectory this radio rides on (NeighborIndex evaluates it for

@@ -50,7 +50,11 @@ ProfConfig ProfConfig::fromEnv(ProfConfig base) {
       v != nullptr && v[0] != '\0') {
     char* end = nullptr;
     const double secs = std::strtod(v, &end);
-    if (end != v && secs >= 0.0) base.heartbeatSec = secs;
+    // Finite, non-negative and small enough that the constructor's
+    // nanosecond period fits a uint64 (NaN fails every comparison).
+    if (end != v && secs >= 0.0 && secs * 1e9 < 0x1p64) {
+      base.heartbeatSec = secs;
+    }
   }
   return base;
 }
@@ -165,29 +169,6 @@ Profiler::Profiler(ProfConfig cfg, ClockFn clock) : cfg_(cfg), clock_(clock) {
     startWallNs_ = clockNs();
     lastBeatWallNs_ = startWallNs_;
   }
-  if (cfg_.enabled) {
-    // Setup-time allocations only: the record paths never grow anything.
-    depthSamples_.reserve(kMaxDepthSamples);
-    AllocTracker::install(&tracker_);
-  }
-}
-
-Profiler::~Profiler() { AllocTracker::uninstallIf(&tracker_); }
-
-void Profiler::pushDepthSample(std::int64_t simNs, std::uint64_t depth) {
-  if (depthSamples_.size() == kMaxDepthSamples) {
-    // Decimate in place: keep samples at even multiples of the old stride
-    // (odd indices), then double the stride. Purely count-driven, so the
-    // surviving series is identical across same-seed runs.
-    std::size_t w = 0;
-    for (std::size_t r = 1; r < depthSamples_.size(); r += 2) {
-      depthSamples_[w++] = depthSamples_[r];
-    }
-    depthSamples_.resize(w);
-    depthStride_ *= 2;
-    if ((depthTicks_ & (depthStride_ - 1)) != 0) return;
-  }
-  depthSamples_.push_back(QueueSample{simNs, depth});
 }
 
 void Profiler::heartbeatSlow(std::int64_t simNowNs, std::int64_t simUntilNs,
@@ -224,22 +205,6 @@ void Profiler::heartbeatSlow(std::int64_t simNowNs, std::int64_t simUntilNs,
   lastBeatEvents_ = executed;
 }
 
-namespace {
-
-// Non-empty buckets of a histogram as (low, high, count) rows.
-std::vector<HistBucket> nonzeroBuckets(const LatencyHistogram& h) {
-  std::vector<HistBucket> out;
-  for (int b = 0; b < LatencyHistogram::kBuckets; ++b) {
-    const std::uint64_t n = h.bucketCount(b);
-    if (n == 0) continue;
-    out.push_back(HistBucket{LatencyHistogram::bucketLowNs(b),
-                             LatencyHistogram::bucketHighNs(b), n});
-  }
-  return out;
-}
-
-}  // namespace
-
 Report Profiler::report() const {
   Report r;
   r.enabled = cfg_.enabled;
@@ -261,48 +226,6 @@ Report Profiler::report() const {
   }
   r.gaugePeaks = gaugePeaks_;
   r.peakRssBytes = readPeakRssBytes();
-
-  HotspotReport& h = r.hotspot;
-  for (std::size_t n = 0; n < entities_.size(); ++n) {
-    const EntityStats& e = entities_[n];
-    EntityReport er;
-    er.node = static_cast<std::uint32_t>(n);
-    er.framesHeard = e.framesHeard;
-    for (std::size_t c = 0; c < kNumCategories; ++c) {
-      er.activations += e.scopes[c];
-      er.selfNs += e.selfNs[c];
-      er.categorySelfNs[c] = e.selfNs[c];
-      er.categoryScopes[c] = e.scopes[c];
-    }
-    if (er.activations > 0 || er.framesHeard > 0) h.entities.push_back(er);
-  }
-
-  h.fanout.transmissions = fanoutTransmissions_;
-  h.fanout.radiosExamined = fanoutExamined_;
-  h.fanout.radiosInRange = fanoutInRange_;
-  h.fanout.maxInRange = fanoutHist_.maxNs();
-  if (fanoutHist_.count() > 0) {
-    h.fanout.p50 = fanoutHist_.percentileNs(50.0);
-    h.fanout.p90 = fanoutHist_.percentileNs(90.0);
-    h.fanout.p99 = fanoutHist_.percentileNs(99.0);
-  }
-  h.fanout.buckets = nonzeroBuckets(fanoutHist_);
-
-  h.queue.scheduled = horizonHist_.count();
-  h.queue.zeroHorizon = zeroHorizon_;
-  h.queue.maxHorizonNs = horizonHist_.maxNs();
-  if (horizonHist_.count() > 0) {
-    h.queue.horizonP50Ns = horizonHist_.percentileNs(50.0);
-    h.queue.horizonP90Ns = horizonHist_.percentileNs(90.0);
-    h.queue.horizonP99Ns = horizonHist_.percentileNs(99.0);
-  }
-  h.queue.horizonBuckets = nonzeroBuckets(horizonHist_);
-  h.queue.depthPeak = depthPeak_;
-  h.queue.depthMean = depthTicks_ > 0 ? static_cast<double>(depthSum_) /
-                                            static_cast<double>(depthTicks_)
-                                      : 0.0;
-  h.queue.depthSamples = depthSamples_;
-  h.alloc = tracker_.sites();
   return r;
 }
 
@@ -354,106 +277,6 @@ std::string toJson(const Report& r) {
                   c.scopes, c.selfNs, c.maxNs, c.p50Ns, c.p90Ns, c.p99Ns);
     out += buf;
     first = false;
-  }
-  out += "}";
-  if (r.enabled) {
-    out += ",\"hotspot\":";
-    out += hotspotJson(r.hotspot);
-  }
-  out += "}";
-  return out;
-}
-
-namespace {
-
-std::string bucketsJson(const std::vector<HistBucket>& buckets) {
-  char buf[128];
-  std::string out = "[";
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s[%" PRIu64 ",%" PRIu64 ",%" PRIu64 "]", i > 0 ? "," : "",
-                  buckets[i].low, buckets[i].high, buckets[i].count);
-    out += buf;
-  }
-  out += "]";
-  return out;
-}
-
-std::string categoryCountsJson(
-    const std::array<std::uint64_t, kNumCategories>& v) {
-  char buf[64];
-  std::string out = "{";
-  bool first = true;
-  for (std::size_t c = 0; c < kNumCategories; ++c) {
-    if (v[c] == 0) continue;
-    std::snprintf(buf, sizeof(buf), "%s\"%s\":%" PRIu64, first ? "" : ",",
-                  toString(static_cast<Category>(c)), v[c]);
-    out += buf;
-    first = false;
-  }
-  out += "}";
-  return out;
-}
-
-}  // namespace
-
-std::string hotspotJson(const HotspotReport& h) {
-  char buf[512];
-  std::string out = "{\"entities\":[";
-  for (std::size_t i = 0; i < h.entities.size(); ++i) {
-    const EntityReport& e = h.entities[i];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"node\":%u,\"activations\":%" PRIu64
-                  ",\"self_ns\":%" PRIu64 ",\"frames_heard\":%" PRIu64
-                  ",\"category_self_ns\":",
-                  i > 0 ? "," : "", e.node, e.activations, e.selfNs,
-                  e.framesHeard);
-    out += buf;
-    out += categoryCountsJson(e.categorySelfNs);
-    out += ",\"category_scopes\":";
-    out += categoryCountsJson(e.categoryScopes);
-    out += "}";
-  }
-  std::snprintf(buf, sizeof(buf),
-                "],\"fanout\":{\"transmissions\":%" PRIu64
-                ",\"radios_examined\":%" PRIu64 ",\"radios_in_range\":%" PRIu64
-                ",\"max_in_range\":%" PRIu64
-                ",\"p50\":%.9g,\"p90\":%.9g,\"p99\":%.9g,\"buckets\":",
-                h.fanout.transmissions, h.fanout.radiosExamined,
-                h.fanout.radiosInRange, h.fanout.maxInRange, h.fanout.p50,
-                h.fanout.p90, h.fanout.p99);
-  out += buf;
-  out += bucketsJson(h.fanout.buckets);
-  std::snprintf(buf, sizeof(buf),
-                "},\"queue\":{\"scheduled\":%" PRIu64
-                ",\"zero_horizon\":%" PRIu64 ",\"max_horizon_ns\":%" PRIu64
-                ",\"horizon_p50_ns\":%.9g,\"horizon_p90_ns\":%.9g"
-                ",\"horizon_p99_ns\":%.9g,\"horizon_buckets\":",
-                h.queue.scheduled, h.queue.zeroHorizon, h.queue.maxHorizonNs,
-                h.queue.horizonP50Ns, h.queue.horizonP90Ns,
-                h.queue.horizonP99Ns);
-  out += buf;
-  out += bucketsJson(h.queue.horizonBuckets);
-  std::snprintf(buf, sizeof(buf),
-                ",\"depth_peak\":%" PRIu64
-                ",\"depth_mean\":%.9g,\"depth_samples\":[",
-                h.queue.depthPeak, h.queue.depthMean);
-  out += buf;
-  for (std::size_t i = 0; i < h.queue.depthSamples.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%s[%" PRId64 ",%" PRIu64 "]",
-                  i > 0 ? "," : "", h.queue.depthSamples[i].simNs,
-                  h.queue.depthSamples[i].depth);
-    out += buf;
-  }
-  out += "]},\"alloc\":{";
-  for (std::size_t s = 0; s < kNumAllocSites; ++s) {
-    const AllocSiteStats& st = h.alloc[s];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\"%s\":{\"count\":%" PRIu64 ",\"bytes\":%" PRIu64
-                  ",\"live\":%" PRIu64 ",\"high_water\":%" PRIu64 "}",
-                  s > 0 ? "," : "", toString(static_cast<AllocSite>(s)),
-                  st.count, st.bytes, st.live, st.highWater);
-    out += buf;
   }
   out += "}}";
   return out;

@@ -5,10 +5,9 @@
 // telemetry); subsystems refine the attribution with nested prof::Scope
 // guards (e.g. DSR work performed inside a MAC reception event is charged
 // to routing, not MAC — scopes track *self* time, excluding children).
-// Per-category latency histograms, scheduler-queue high-water marks, cache
-// occupancy peaks and peak RSS round out the picture, and an optional
-// wall-clock heartbeat reports progress (events/sec, sim rate, ETA) on
-// stderr during long sweeps.
+// Per-category latency histograms, cache occupancy peaks and peak RSS
+// round out the picture, and an optional wall-clock heartbeat reports
+// progress (events/sec, sim rate, ETA) on stderr during long sweeps.
 //
 // Design constraints:
 //  * Branch-cheap when off: every hook is a null-pointer / bool check; a
@@ -25,9 +24,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "src/prof/hotspot.h"
 
 namespace manet::prof {
 
@@ -122,75 +118,6 @@ struct CategoryReport {
   double p99Ns = 0.0;
 };
 
-/// One non-empty histogram bucket, exported for fan-out / horizon displays.
-/// `low` is inclusive, `high` exclusive (saturated for the top buckets).
-struct HistBucket {
-  std::uint64_t low = 0;
-  std::uint64_t high = 0;
-  std::uint64_t count = 0;
-};
-
-/// Sentinel for scopes with no per-entity attribution.
-inline constexpr std::uint32_t kNoEntity = 0xFFFFFFFFu;
-
-/// Per-node attribution: scope activations, exclusive wall time and frames
-/// heard, with the category split preserved. `activations` and
-/// `framesHeard` are deterministic (pure event counts); `selfNs` is wall
-/// time and varies run to run.
-struct EntityReport {
-  std::uint32_t node = 0;
-  std::uint64_t activations = 0;  // scope activations at this node
-  std::uint64_t selfNs = 0;       // exclusive wall time across categories
-  std::uint64_t framesHeard = 0;  // receptions that touched this radio
-  std::array<std::uint64_t, kNumCategories> categorySelfNs{};
-  std::array<std::uint64_t, kNumCategories> categoryScopes{};
-};
-
-/// Channel broadcast fan-out: how many radios each transmission touched and
-/// how many were inside the 250 m disc — the O(N) waste a spatial index
-/// will reclaim. All fields are deterministic.
-struct FanoutReport {
-  std::uint64_t transmissions = 0;
-  std::uint64_t radiosExamined = 0;  // distance checks performed
-  std::uint64_t radiosInRange = 0;   // receivers actually scheduled
-  std::uint64_t maxInRange = 0;      // densest single broadcast
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-  std::vector<HistBucket> buckets;  // in-range count distribution
-};
-
-/// One queue-depth sample, taken on a deterministic dispatch-count stride.
-struct QueueSample {
-  std::int64_t simNs = 0;
-  std::uint64_t depth = 0;
-};
-
-/// Event-queue analytics: the horizon histogram (now -> fire-time at
-/// scheduling) shows how far ahead events are scheduled, and the depth
-/// series how many are pending — the inputs for choosing and sizing the
-/// pending-set structure. All deterministic.
-struct QueueReport {
-  std::uint64_t scheduled = 0;    // scheduleAt calls observed
-  std::uint64_t zeroHorizon = 0;  // scheduled at the current instant
-  std::uint64_t maxHorizonNs = 0;
-  double horizonP50Ns = 0.0;
-  double horizonP90Ns = 0.0;
-  double horizonP99Ns = 0.0;
-  std::vector<HistBucket> horizonBuckets;
-  std::uint64_t depthPeak = 0;
-  double depthMean = 0.0;
-  std::vector<QueueSample> depthSamples;  // decimated time series
-};
-
-/// The hotspot layer's full output (see DESIGN.md "Hotspot observability").
-struct HotspotReport {
-  std::vector<EntityReport> entities;  // nodes with any recorded activity
-  FanoutReport fanout;
-  QueueReport queue;
-  std::array<AllocSiteStats, kNumAllocSites> alloc{};
-};
-
 /// Everything the profiler learned about a run.
 struct Report {
   bool enabled = false;
@@ -199,15 +126,11 @@ struct Report {
   std::uint64_t peakRssBytes = 0;
   std::uint64_t totalSelfNs = 0;
   std::uint64_t totalDispatches = 0;
-  HotspotReport hotspot;
 };
 
 /// The run's per-category breakdown as one JSON object (the run export's
 /// "profile" value).
 std::string toJson(const Report& r);
-
-/// The hotspot sub-report alone (embedded in toJson).
-std::string hotspotJson(const HotspotReport& h);
 
 /// Process peak resident set size in bytes (VmHWM; getrusage fallback).
 /// Returns 0 when unavailable.
@@ -246,12 +169,8 @@ class Profiler {
   using ClockFn = std::uint64_t (*)();
 
   /// `clock` overrides the wall-clock source (tests); nullptr = monotonic
-  /// steady clock. Construction installs this profiler's AllocTracker into
-  /// the thread-local slot (when collecting); destruction uninstalls it, so
-  /// it must outlive no allocation site it observes — owners order members
-  /// accordingly (see net::Network).
+  /// steady clock.
   explicit Profiler(ProfConfig cfg, ClockFn clock = nullptr);
-  ~Profiler();
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
@@ -272,63 +191,6 @@ class Profiler {
     std::uint64_t& peak = gaugePeaks_[static_cast<std::size_t>(g)];
     if (v > peak) peak = v;
   }
-
-  // ----- hotspot layer (every record path: one enabled/null check) -----
-
-  /// Presize the per-entity table; called at node-construction time so the
-  /// record path never allocates. Out-of-range entities are dropped.
-  void ensureEntities(std::size_t n) {
-    if (cfg_.enabled && entities_.size() < n) entities_.resize(n);
-  }
-  std::size_t entityCapacity() const { return entities_.size(); }
-
-  /// One channel broadcast: `examined` distance checks, `inRange` receivers
-  /// actually inside the disc.
-  void recordFanout(std::uint32_t examined, std::uint32_t inRange) {
-    if (!cfg_.enabled) return;
-    ++fanoutTransmissions_;
-    fanoutExamined_ += examined;
-    fanoutInRange_ += inRange;
-    fanoutHist_.record(inRange);
-  }
-
-  /// One frame reaching `node`'s radio (in range, radio up).
-  void countFrameHeard(std::uint32_t node) {
-    if (!cfg_.enabled) return;
-    if (node < entities_.size()) ++entities_[node].framesHeard;
-  }
-
-  /// Event horizon (fire time minus now) of one scheduleAt call.
-  void recordHorizon(std::int64_t horizonNs) {
-    if (!cfg_.enabled) return;
-    const std::uint64_t h =
-        horizonNs > 0 ? static_cast<std::uint64_t>(horizonNs) : 0;
-    if (h == 0) ++zeroHorizon_;
-    horizonHist_.record(h);
-  }
-
-  /// Queue depth after one dispatch; samples the time series on a
-  /// deterministic dispatch-count stride (never the wall clock).
-  void noteQueueDepth(std::int64_t simNowNs, std::size_t depth) {
-    if (!cfg_.enabled) return;
-    ++depthTicks_;
-    depthSum_ += depth;
-    if (depth > depthPeak_) depthPeak_ = depth;
-    if ((depthTicks_ & (depthStride_ - 1)) == 0) {
-      pushDepthSample(simNowNs, depth);
-    }
-  }
-
-  /// Forward an allocation event to the tracker (scheduler event site; the
-  /// packet site uses AllocToken, the trace site AllocTracker::current()).
-  void allocRecord(AllocSite s, std::uint64_t extraBytes = 0) {
-    if (cfg_.enabled) tracker_.recordAlloc(s, extraBytes);
-  }
-  void allocRelease(AllocSite s) {
-    if (cfg_.enabled) tracker_.releaseAlloc(s);
-  }
-
-  AllocTracker& allocTracker() { return tracker_; }
 
   /// Progress heartbeat, called by the scheduler after each dispatched
   /// event. Self-throttles: counter mask first, wall-clock check second,
@@ -358,27 +220,12 @@ class Profiler {
     LatencyHistogram latency;
   };
 
-  struct EntityStats {
-    std::array<std::uint64_t, kNumCategories> selfNs{};
-    std::array<std::uint64_t, kNumCategories> scopes{};
-    std::uint64_t framesHeard = 0;
-  };
-
-  void recordSelf(Category c, std::uint64_t selfNs,
-                  std::uint32_t entity = kNoEntity) {
-    const std::size_t ci = static_cast<std::size_t>(c);
-    CategoryStats& s = stats_[ci];
+  void recordSelf(Category c, std::uint64_t selfNs) {
+    CategoryStats& s = stats_[static_cast<std::size_t>(c)];
     ++s.scopes;
     s.selfNs += selfNs;
     if (cfg_.histograms) s.latency.record(selfNs);
-    if (entity < entities_.size()) {
-      EntityStats& e = entities_[entity];
-      ++e.scopes[ci];
-      e.selfNs[ci] += selfNs;
-    }
   }
-
-  void pushDepthSample(std::int64_t simNs, std::uint64_t depth);
 
   void heartbeatSlow(std::int64_t simNowNs, std::int64_t simUntilNs,
                      std::uint64_t executed);
@@ -388,22 +235,6 @@ class Profiler {
   Scope* current_ = nullptr;  // innermost open scope (single-threaded)
   std::array<CategoryStats, kNumCategories> stats_{};
   std::array<std::uint64_t, kNumGauges> gaugePeaks_{};
-  // Hotspot layer: presized at setup (ensureEntities / reserve), so the
-  // record paths stay allocation-free.
-  std::vector<EntityStats> entities_;
-  LatencyHistogram fanoutHist_;  // value = receivers per broadcast
-  std::uint64_t fanoutTransmissions_ = 0;
-  std::uint64_t fanoutExamined_ = 0;
-  std::uint64_t fanoutInRange_ = 0;
-  LatencyHistogram horizonHist_;  // value = now -> fire-time, ns
-  std::uint64_t zeroHorizon_ = 0;
-  std::uint64_t depthTicks_ = 0;
-  std::uint64_t depthSum_ = 0;
-  std::uint64_t depthPeak_ = 0;
-  static constexpr std::size_t kMaxDepthSamples = 1024;
-  std::uint64_t depthStride_ = 64;  // power of two; doubles when full
-  std::vector<QueueSample> depthSamples_;
-  AllocTracker tracker_;
   // Heartbeat state (wall-clock only; never influences the simulation).
   std::uint64_t heartbeatPeriodNs_ = 0;
   std::uint64_t hbTick_ = 0;
@@ -416,12 +247,10 @@ class Profiler {
 /// RAII self-time attribution. Inert (no clock read, no state) when the
 /// profiler is null or not collecting. Nesting charges the inner scope's
 /// elapsed time to the inner category and excludes it from the outer
-/// scope's self time. Passing a node id as `entity` additionally charges
-/// the self time and activation to that node's per-entity row.
+/// scope's self time.
 class Scope {
  public:
-  Scope(Profiler* p, Category c, std::uint32_t entity = kNoEntity)
-      : cat_(c), entity_(entity) {
+  Scope(Profiler* p, Category c) : cat_(c) {
     if (p == nullptr || !p->collecting()) return;
     prof_ = p;
     startNs_ = p->clockNs();
@@ -433,7 +262,7 @@ class Scope {
     if (prof_ == nullptr) return;
     const std::uint64_t elapsed = prof_->clockNs() - startNs_;
     const std::uint64_t self = elapsed > childNs_ ? elapsed - childNs_ : 0;
-    prof_->recordSelf(cat_, self, entity_);
+    prof_->recordSelf(cat_, self);
     prof_->current_ = parent_;
     if (parent_ != nullptr) parent_->childNs_ += elapsed;
   }
@@ -443,7 +272,6 @@ class Scope {
 
  private:
   Category cat_;
-  std::uint32_t entity_;
   Profiler* prof_ = nullptr;
   Scope* parent_ = nullptr;
   std::uint64_t startNs_ = 0;

@@ -22,13 +22,6 @@ EventId Scheduler::scheduleAt(Time at, EventFn fn, prof::Category cat) {
   if (queue_.size() > queuePeak_) queuePeak_ = queue_.size();
   states_.push_back(EvState::kPending);
   assert(baseId_ + states_.size() == nextId_);
-  // Hotspot observability: event horizon (how far ahead of now the event
-  // fires) and the event allocation tally. Pure counters driven by
-  // simulation state; no wall-clock reads.
-  if (prof_ != nullptr) {
-    prof_->recordHorizon((at - now_).ns());
-    prof_->allocRecord(prof::AllocSite::kEvent);
-  }
   return id;
 }
 
@@ -70,10 +63,7 @@ void Scheduler::runUntil(Time until) {
     freeSlots_.push_back(k.slot);
     const bool cancelled = *stateOf(k.id) == EvState::kCancelled;
     retire(k.id);  // a handler cancelling its own id is a no-op
-    if (cancelled) {
-      if (prof_ != nullptr) prof_->allocRelease(prof::AllocSite::kEvent);
-      continue;
-    }
+    if (cancelled) continue;
     now_ = k.at;
     ++executed_;
     // Span capture reads only the profiler's wall clock and writes into a
@@ -82,14 +72,11 @@ void Scheduler::runUntil(Time until) {
     const std::uint64_t w0 =
         capture && prof_ != nullptr ? prof_->clockNs() : 0;
     if (prof_ != nullptr) {
-      prof_->allocRelease(prof::AllocSite::kEvent);
       {
         prof::Scope scope(prof_, cat);  // inert unless collecting
         prof_->countDispatch(cat);
         fn();
       }
-      // Depth after the handler ran: counts whatever it just scheduled.
-      prof_->noteQueueDepth(now_.ns(), queue_.size());
       prof_->heartbeat(now_.ns(), until.ns(), executed_);
     } else {
       fn();

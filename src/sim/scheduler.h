@@ -97,17 +97,9 @@ class Scheduler {
   /// event is timed and charged to its scheduling category, and the
   /// profiler's progress heartbeat is driven from the dispatch loop. The
   /// profiler only observes wall time — never sim time or any RNG stream —
-  /// so profiled runs stay bit-identical. The profiler's horizon histogram
-  /// (recordHorizon) is fed from scheduleAt.
+  /// so profiled runs stay bit-identical.
   void setProfiler(prof::Profiler* p) { prof_ = p; }
   prof::Profiler* profiler() const { return prof_; }
-
-  /// Pending-event footprint for the event allocation-site tally: one
-  /// 24-byte key plus one closure slot. A key queued behind its run's head
-  /// sits in a 16-byte run node instead, so this is an upper bound.
-  static constexpr std::size_t eventEntryBytes() {
-    return sizeof(EventKey) + sizeof(Slot);
-  }
 
   /// Keep the most recent `capacity` dispatch spans (0 disables). Purely
   /// observational: the buffer is bounded, reads only the profiler's wall

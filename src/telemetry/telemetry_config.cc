@@ -48,12 +48,14 @@ TelemetryConfig TelemetryConfig::fromEnv(TelemetryConfig base) {
       v != nullptr && v[0] != '\0') {
     char* end = nullptr;
     const double secs = std::strtod(v, &end);
-    if (end != v && secs > 0.0) {
+    // The period must be finite and fit Time's int64 nanoseconds (NaN
+    // fails every comparison).
+    if (end != v && secs > 0.0 && secs * 1e9 < 0x1p63) {
       base.samplePeriod = sim::Time::fromSeconds(secs);
     } else if (end != v && secs == 0.0) {
       base.samplePeriod = sim::Time::zero();
     }
-    // Unparsable values leave the base setting (sampling stays off).
+    // Unparsable or out-of-range values leave the base setting.
   }
   if (const char* v = std::getenv("MANET_EXPORT_DIR");  // NOLINT(concurrency-mt-unsafe)
       v != nullptr && v[0] != '\0') {

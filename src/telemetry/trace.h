@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "src/net/packet.h"
-#include "src/prof/hotspot.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/time.h"
 #include "src/util/logging.h"
@@ -186,12 +185,6 @@ class Tracer {
   }
 
   void emit(const TraceRecord& r) {
-    // Trace-record allocation tally (one per record, however many sinks):
-    // count and bytes size the future record arena; records are retained or
-    // streamed, so `live` tracks total emitted, not a churn high-water.
-    if (prof::AllocTracker* a = prof::AllocTracker::current()) {
-      a->recordAlloc(prof::AllocSite::kTraceRecord, r.note.size());
-    }
     for (TraceSink* s : sinks_) s->record(r);
   }
 

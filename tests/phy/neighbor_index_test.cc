@@ -68,29 +68,55 @@ std::vector<std::pair<net::NodeId, double>> query(const NeighborIndex& index,
 }
 
 TEST(NeighborIndexTest, GridMatchesScanOnRandomStaticTopologies) {
+  struct Field {
+    int n;
+    double w, h;
+  };
+  // Five fields at the paper's 2200x600 m density, then a sparse one where
+  // the grid's 3x3 candidate block covers a small fraction of the area.
+  const Field fields[] = {{40, 2200.0, 600.0}, {40, 2200.0, 600.0},
+                          {40, 2200.0, 600.0}, {40, 2200.0, 600.0},
+                          {40, 2200.0, 600.0}, {60, 3000.0, 3000.0}};
   sim::Rng rng(1234);
-  for (int topo = 0; topo < 5; ++topo) {
+  for (int topo = 0; topo < 6; ++topo) {
+    const Field& f = fields[topo];
     Fixture fx;
-    const int n = 40;
+    const int n = f.n;
     for (int i = 0; i < n; ++i) {
       fx.addRadio(static_cast<net::NodeId>(i),
                   std::make_unique<StaticMobility>(Vec2{
-                      rng.uniform(0.0, 2200.0), rng.uniform(0.0, 600.0)}));
+                      rng.uniform(0.0, f.w), rng.uniform(0.0, f.h)}));
     }
     ScanNeighborIndex scan(fx.sched);
     GridNeighborIndex grid(fx.sched, 250.0, 20.0, Time::seconds(1));
     fx.attachAll(scan);
     fx.attachAll(grid);
+    std::size_t scanExamined = 0;
+    std::size_t gridExamined = 0;
+    std::size_t inRange = 0;
     for (int q = 0; q < 50; ++q) {
-      const Vec2 pos{rng.uniform(-100.0, 2300.0), rng.uniform(-100.0, 700.0)};
+      const Vec2 pos{rng.uniform(-100.0, f.w + 100.0),
+                     rng.uniform(-100.0, f.h + 100.0)};
       const Radio* exclude =
           q % 3 == 0 ? fx.radios[static_cast<std::size_t>(q) % n].get()
                      : nullptr;
       const auto a = query(scan, pos, 250.0, Time::zero(), exclude);
       const auto b = query(grid, pos, 250.0, Time::zero(), exclude);
       ASSERT_EQ(a, b) << "topology " << topo << " query " << q;
-      // The grid may examine fewer candidates, never more.
+      // Scan examines every radio but the excluded sender; the grid may
+      // examine fewer candidates, never more.
+      EXPECT_EQ(scan.lastExamined(),
+                static_cast<std::size_t>(n) - (exclude != nullptr ? 1 : 0));
       EXPECT_LE(grid.lastExamined(), scan.lastExamined());
+      scanExamined += scan.lastExamined();
+      gridExamined += grid.lastExamined();
+      inRange += b.size();
+    }
+    // The grid's candidates are a superset of the in-range set.
+    EXPECT_GE(gridExamined, inRange) << "topology " << topo;
+    if (topo == 5) {
+      // Sparse field: the grid examines far fewer radios than the scan.
+      EXPECT_LT(gridExamined * 2, scanExamined);
     }
   }
 }

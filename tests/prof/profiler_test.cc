@@ -91,6 +91,68 @@ TEST(LatencyHistogramTest, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(h.percentileNs(50), 0.0);
 }
 
+TEST(LatencyHistogramTest, EmptyPercentilesAreZero) {
+  LatencyHistogram h;
+  EXPECT_DOUBLE_EQ(h.percentileNs(50), 0.0);
+  EXPECT_DOUBLE_EQ(h.percentileNs(90), 0.0);
+  EXPECT_DOUBLE_EQ(h.percentileNs(99), 0.0);
+}
+
+TEST(LatencyHistogramTest, SingleSampleEveryPercentile) {
+  LatencyHistogram h;
+  h.record(7);
+  // With one sample, every percentile must land in its bucket (values 4..7
+  // share the [7, 8) sub-bucket boundary behaviour: low <= p < high).
+  const int b = LatencyHistogram::bucketIndex(7);
+  for (double p : {0.1, 50.0, 90.0, 99.0, 100.0}) {
+    const double v = h.percentileNs(p);
+    EXPECT_GE(v, static_cast<double>(LatencyHistogram::bucketLowNs(b)))
+        << "p" << p;
+    EXPECT_LE(v, static_cast<double>(LatencyHistogram::bucketHighNs(b)))
+        << "p" << p;
+  }
+}
+
+TEST(LatencyHistogramTest, AllSamplesInTopBucket) {
+  // The top bucket's exclusive bound is unrepresentable and saturates at
+  // uint64 max; percentiles over a distribution living entirely there must
+  // stay inside the bucket and not overflow.
+  LatencyHistogram h;
+  for (int i = 0; i < 10; ++i) h.record(~0ull);
+  const int top = LatencyHistogram::bucketIndex(~0ull);
+  EXPECT_EQ(h.bucketCount(top), 10u);
+  EXPECT_EQ(h.maxNs(), ~0ull);
+  for (double p : {50.0, 90.0, 99.0}) {
+    const double v = h.percentileNs(p);
+    EXPECT_GE(v, static_cast<double>(LatencyHistogram::bucketLowNs(top)));
+    EXPECT_LE(v, static_cast<double>(LatencyHistogram::bucketHighNs(top)));
+  }
+}
+
+TEST(LatencyHistogramTest, PercentilesMonotonicInP) {
+  // p50 <= p90 <= p99 must hold for any recorded distribution; sweep a
+  // few shapes (uniform, bimodal, heavy-tail).
+  const auto check = [](const LatencyHistogram& h, const char* what) {
+    double last = 0.0;
+    for (double p : {1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0}) {
+      const double v = h.percentileNs(p);
+      EXPECT_GE(v, last) << what << " at p" << p;
+      last = v;
+    }
+  };
+  LatencyHistogram uniform;
+  for (std::uint64_t v = 0; v < 1000; ++v) uniform.record(v);
+  check(uniform, "uniform");
+  LatencyHistogram bimodal;
+  for (int i = 0; i < 500; ++i) bimodal.record(10);
+  for (int i = 0; i < 500; ++i) bimodal.record(1000000);
+  check(bimodal, "bimodal");
+  LatencyHistogram tail;
+  for (int i = 0; i < 990; ++i) tail.record(50);
+  for (int i = 0; i < 10; ++i) tail.record(1ull << 40);
+  check(tail, "heavy-tail");
+}
+
 // ------------------------------------------------------------- attribution
 
 // Injected wall clock the tests advance explicitly.
@@ -313,6 +375,12 @@ TEST(ProfConfigTest, FromEnvOverrides) {
   EXPECT_FALSE(cfg.histograms);
   EXPECT_DOUBLE_EQ(cfg.heartbeatSec, 2.5);
   EXPECT_TRUE(cfg.installed());
+  // Non-finite periods, and periods whose nanosecond count overflows,
+  // leave the base setting.
+  for (const char* bad : {"inf", "nan", "1e300"}) {
+    ::setenv("MANET_PROF_HEARTBEAT", bad, 1);
+    EXPECT_DOUBLE_EQ(ProfConfig::fromEnv(cfg).heartbeatSec, 2.5) << bad;
+  }
   ::unsetenv("MANET_PROF");
   ::unsetenv("MANET_PROF_HIST");
   ::unsetenv("MANET_PROF_HEARTBEAT");

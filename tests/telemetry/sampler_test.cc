@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "src/scenario/scenario.h"
+#include "src/telemetry/telemetry_config.h"
 
 namespace manet::telemetry {
 namespace {
@@ -79,6 +82,22 @@ TEST(SamplerTest, CacheStateIsPlausible) {
     if (r.series.meanCacheSize[i] > 0.0) sawCache = true;
   }
   EXPECT_TRUE(sawCache);  // active flows must populate caches
+}
+
+TEST(TelemetryConfigTest, SamplePeriodFromEnv) {
+  ::setenv("MANET_SAMPLE_PERIOD", "2.5", 1);
+  const TelemetryConfig cfg = TelemetryConfig::fromEnv();
+  EXPECT_EQ(cfg.samplePeriod.ns(), 2'500'000'000);
+  ::setenv("MANET_SAMPLE_PERIOD", "0", 1);
+  EXPECT_EQ(TelemetryConfig::fromEnv(cfg).samplePeriod.ns(), 0);
+  // Unparsable, non-finite and out-of-range periods (1e10 s overflows the
+  // int64 nanosecond count) leave the base setting.
+  for (const char* bad : {"abc", "-1", "inf", "nan", "1e300", "1e10"}) {
+    ::setenv("MANET_SAMPLE_PERIOD", bad, 1);
+    EXPECT_EQ(TelemetryConfig::fromEnv(cfg).samplePeriod.ns(), 2'500'000'000)
+        << bad;
+  }
+  ::unsetenv("MANET_SAMPLE_PERIOD");
 }
 
 }  // namespace

@@ -102,19 +102,6 @@ const std::vector<RuleInfo> kRules = {
      "Route the spawn through runChildProcess in src/scenario/supervisor.cc "
      "(the sanctioned, watchdogged spawn point), or move the code into "
      "tools//tests//bench/ where spawning is free."},
-    {"hotspot-guard",
-     "hotspot counter record call outside src/prof/ without the enabled-flag "
-     "null check",
-     "The hotspot layer's zero-overhead-when-off contract rests on every "
-     "instrumentation site being guarded by the single null/enabled check: "
-     "'if (prof::Profiler* p = sched_.profiler())', 'if (prof_ != nullptr)' "
-     "or 'if (auto* a = prof::AllocTracker::current())'. An unguarded "
-     "recordFanout/countFrameHeard/recordHorizon/noteQueueDepth/allocRecord "
-     "call either dereferences null when profiling is off or silently pays "
-     "the record cost on every run.",
-     "Wrap the record call in the canonical guard: 'if (prof::Profiler* p = "
-     "sched_.profiler())', 'if (prof_ != nullptr)' or 'if (auto* a = "
-     "prof::AllocTracker::current())'."},
     {"lock-discipline",
      "mutex declared in src/ without a GUARDED_BY-annotated data set",
      "A mutex that guards nothing the compiler can see is a data race "
@@ -688,69 +675,6 @@ void checkCausalIds(const std::string& code,
   }
 }
 
-/// hotspot-guard: the hotspot layer's record methods are only legal behind
-/// the canonical null/enabled check. Textual on purpose, like causal-id: an
-/// `if (` that names nullptr, profiler() or AllocTracker::current() on the
-/// call's own line or within the preceding few (a guard block may span the
-/// dispatch body, see Scheduler::run) counts as the guard.
-void checkHotspotGuards(const std::string& code,
-                        const std::vector<std::string>& codeLines,
-                        const std::map<int, Allow>& allows,
-                        const std::string& relPath,
-                        std::vector<Finding>* out) {
-  /// Lines above the call searched for the guard; Scheduler::run's guarded
-  /// dispatch block (release -> scope -> handler -> depth sample) is the
-  /// longest sanctioned span.
-  constexpr int kWindow = 8;
-  static const char* kRecordCalls[] = {
-      "countFrameHeard", "recordFanout", "recordHorizon", "noteQueueDepth",
-      "allocRecord",     "allocRelease", "recordAlloc",   "releaseAlloc"};
-  static const std::regex kGuard(
-      R"re(if\s*\(.*(nullptr|profiler\s*\(\s*\)|current\s*\(\s*\)))re");
-  for (const char* call : kRecordCalls) {
-    const std::string tok = call;
-    std::size_t pos = 0;
-    while ((pos = code.find(tok, pos)) != std::string::npos) {
-      const std::size_t start = pos;
-      pos += tok.size();
-      if (start > 0) {
-        const char prev = code[start - 1];
-        if (std::isalnum(static_cast<unsigned char>(prev)) || prev == '_') {
-          continue;
-        }
-      }
-      std::size_t j = pos;
-      while (j < code.size() &&
-             std::isspace(static_cast<unsigned char>(code[j]))) {
-        ++j;
-      }
-      if (j >= code.size() || code[j] != '(') continue;
-      const int line = 1 + static_cast<int>(std::count(
-                               code.begin(),
-                               code.begin() +
-                                   static_cast<std::ptrdiff_t>(start),
-                               '\n'));
-      bool guarded = false;
-      for (int l = std::max(1, line - kWindow); l <= line; ++l) {
-        if (std::regex_search(codeLines[static_cast<std::size_t>(l - 1)],
-                              kGuard)) {
-          guarded = true;
-          break;
-        }
-      }
-      if (guarded) continue;
-      if (isAllowed(allows, line, "hotspot-guard")) continue;
-      out->push_back(
-          {relPath, line, "hotspot-guard",
-           std::string(call) +
-               "() without the enabled-flag null check nearby; wrap the "
-               "site in 'if (prof::Profiler* p = ...profiler())' / 'if "
-               "(prof_ != nullptr)' / 'if (auto* a = "
-               "prof::AllocTracker::current())'"});
-    }
-  }
-}
-
 /// lock-discipline: a mutex declared in src/ must guard something the
 /// compiler can see — at least one member annotated GUARDED_BY(<name>) /
 /// PT_GUARDED_BY(<name>) in the same file or the paired header — or carry
@@ -1003,43 +927,6 @@ const Fixture kFixtures[] = {
     {"subprocess fine in tools", "tools/manet_ctl/ok_sys.cc",
      "#include <cstdlib>\nint f() { return std::system(\"./bin\"); }\n",
      nullptr},
-    {"hotspot-guard hit", "src/net/bad_hotspot.cc",
-     "void f(manet::prof::Profiler* p) {\n"
-     "  p->recordFanout(20, 6);\n"
-     "}\n",
-     "hotspot-guard"},
-    {"hotspot-guard same-line guard clean", "src/phy/ok_hotspot.cc",
-     "void f() {\n"
-     "  if (prof::Profiler* p = sched_.profiler()) p->countFrameHeard(3);\n"
-     "}\n",
-     nullptr},
-    {"hotspot-guard block guard clean", "src/sim/ok_hotspot_block.cc",
-     "void f() {\n"
-     "  if (prof_ != nullptr) {\n"
-     "    prof_->recordHorizon(100);\n"
-     "    prof_->allocRecord(prof::AllocSite::kEvent);\n"
-     "  }\n"
-     "}\n",
-     nullptr},
-    {"hotspot-guard tracker guard clean", "src/telemetry/ok_hotspot.cc",
-     "void f(std::size_t n) {\n"
-     "  if (prof::AllocTracker* a = prof::AllocTracker::current()) {\n"
-     "    a->recordAlloc(prof::AllocSite::kTraceRecord, n);\n"
-     "  }\n"
-     "}\n",
-     nullptr},
-    {"hotspot-guard allowlisted", "src/net/ok_hotspot_allow.cc",
-     "void f(manet::prof::Profiler& p) {\n"
-     "  // manet-lint: allow(hotspot-guard): reference held by value, "
-     "enabled-checked inside\n"
-     "  p.recordFanout(20, 6);\n"
-     "}\n",
-     nullptr},
-    {"hotspot-guard fine in prof", "src/prof/ok_internal.cc",
-     "void f(manet::prof::AllocTracker& t) {\n"
-     "  t.recordAlloc(manet::prof::AllocSite::kPacket);\n"
-     "}\n",
-     nullptr},
     {"lock-discipline hit", "src/core/bad_mutex.cc",
      "#include \"src/util/mutex.h\"\n"
      "class Tally {\n"
@@ -1281,9 +1168,6 @@ std::vector<Finding> lintSource(const std::string& relPath,
   }
   if (simCore && !startsWith(relPath, "src/net/packet.")) {
     checkCausalIds(lexed.code, codeLines, allows, relPath, &out);
-  }
-  if (inSrc && !startsWith(relPath, "src/prof/")) {
-    checkHotspotGuards(lexed.code, codeLines, allows, relPath, &out);
   }
   if (inSrc && !startsWith(relPath, "src/util/mutex.")) {
     checkLockDiscipline(lexed.code, headerCode, allows, relPath, &out);
