@@ -11,7 +11,7 @@
 // Every injected fault is counted in Metrics (fault* counters) and emitted
 // through the Tracer (node_crash / node_recover / link_blackout /
 // noise_burst / traffic_surge records), so traces reconcile with metrics
-// and tools like examples/trace_inspector can show a fault timeline.
+// and the tools/manet_trace summary can show a fault timeline.
 #pragma once
 
 #include <vector>

@@ -130,10 +130,6 @@ struct Metrics {
                           : 100.0 * static_cast<double>(invalidCacheHits) /
                                 static_cast<double>(cacheHits);
   }
-
-  /// Element-wise sum (aggregating over replications is done on derived
-  /// metrics instead; this is for merging per-node collectors if needed).
-  void add(const Metrics& o);
 };
 
 }  // namespace manet::metrics

@@ -38,36 +38,12 @@ void kvI(std::string& out, const char* key, std::int64_t v,
   out += buf;
 }
 
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void kvS(std::string& out, const char* key, std::string_view v,
          bool first = false) {
   out += first ? "\"" : ",\"";
   out += key;
   out += "\":\"";
-  out += jsonEscape(v);
+  util::appendJsonEscaped(out, v);
   out += '"';
 }
 

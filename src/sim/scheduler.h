@@ -74,11 +74,10 @@ class Scheduler {
 
   // --- introspection ---
 
-  /// Number of events executed so far (for microbenchmarks / sanity checks).
+  /// Number of events executed so far (for microbenchmarks / sanity
+  /// checks); cancelled entries are popped without dispatching and do not
+  /// count.
   std::uint64_t executedCount() const { return executed_; }
-  /// Total handlers dispatched (alias of executedCount; cancelled entries
-  /// are popped without dispatching and do not count).
-  std::uint64_t totalDispatched() const { return executed_; }
   /// Number of events still queued and not cancelled.
   std::size_t pendingCount() const { return queue_.size() - cancelledLive_; }
   /// Largest raw queue size ever reached (cancelled entries included —

@@ -6,14 +6,16 @@
 // route, RREP <- the RREQ it answers, RERR <- the packet whose transmission
 // failed, gratuitous RREP <- the tapped data packet), and the provenance of
 // the cache entry behind the event. CausalIndex ingests records — from a
-// live RingBufferSink or re-parsed JSONL lines — and answers the questions
-// the paper's outcome counters cannot:
+// live RingBufferSink or a JSONL trace read back with readTraceFile — and
+// answers the questions the paper's outcome counters cannot:
 //   * the full life of one packet across every node it touched,
 //   * the causal ancestry of any control packet back to the application
 //     packet that started it,
 //   * which cache insertion (origin, inserting node, age at failure) each
 //     stale-route drop traces back to, bucketed into the attribution table
-//     behind Table 3's invalid-cached-routes column.
+//     behind Table 3's invalid-cached-routes column,
+//   * the run at a glance: event and drop totals, the fault timeline, and
+//     each flow's originated / delivered / dropped-by-reason lifecycle.
 //
 // Everything here is deterministic: records keep ingestion order, all maps
 // are ordered, and renderings are pure functions of the trace — the
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "src/telemetry/trace.h"
+#include "src/util/json.h"
 
 namespace manet::telemetry {
 
@@ -45,6 +48,7 @@ struct CausalRecord {
   std::uint64_t cause = 0;  // uid of the packet that caused this one
   net::NodeId src = 0;
   net::NodeId dst = 0;
+  std::uint32_t flow = 0;   // CBR flow id (0 unless packet-scoped)
   std::int64_t detail = 0;
   // Provenance of the cache entry behind the event (id 0 = none).
   std::uint64_t prov = 0;
@@ -54,13 +58,17 @@ struct CausalRecord {
   unsigned provHops = 0;    // route length at insert
 };
 
-/// Parse one JSONL trace line into a CausalRecord. Returns false when the
-/// line has no "ev" field (i.e. is not a trace record).
-bool parseCausalLine(std::string_view line, CausalRecord& out);
+/// Read one parsed JSONL trace line into a CausalRecord. Returns false when
+/// the line is not an object with a string "ev" field (not a trace record).
+bool parseCausalLine(const util::JsonValue& line, CausalRecord& out);
 
 /// Reduce a live TraceRecord to its causal fields (the same projection the
 /// JSONL round-trip produces). Shared by CausalIndex and the Perfetto sink.
 CausalRecord toCausalRecord(const TraceRecord& r);
+
+/// True for fault-plan events (node_crash, node_recover, link_blackout,
+/// noise_burst, traffic_surge).
+bool isFaultEvent(std::string_view event);
 
 /// Stale-drop attribution: data-packet drops whose route failed underneath
 /// them (link_fail_no_salvage) or was intercepted by the negative cache,
@@ -89,8 +97,9 @@ std::string_view ageBucketLabel(double ageSeconds);
 
 class CausalIndex {
  public:
-  /// Ingest parsed JSONL trace lines (non-records are ignored).
-  static CausalIndex fromLines(const std::vector<std::string>& lines);
+  CausalIndex() = default;
+  /// Ingest records in order (e.g. readTraceFile's).
+  explicit CausalIndex(std::vector<CausalRecord> records);
 
   void add(CausalRecord r);
   /// Convert-and-add a live record (ring snapshots, tests).
@@ -114,6 +123,13 @@ class CausalIndex {
   std::string renderChain(std::uint64_t uid) const;
 
   StaleReport staleReport() const;
+
+  /// Whole-trace summary as deterministic text (manet_trace's default
+  /// output): record and event totals, drop reasons, the fault timeline
+  /// (first 40 entries), each flow's lifecycle with drops by reason, and a
+  /// closing originated / delivered / dropped line that leaves out
+  /// mac_duplicate drops (redundant copies of frames also received).
+  std::string renderSummary() const;
 
  private:
   std::vector<CausalRecord> records_;

@@ -1,48 +1,19 @@
 #include "src/telemetry/perfetto.h"
 
 #include <cinttypes>
-#include <cstring>
+
+#include "src/util/json.h"
 
 namespace manet::telemetry {
 
 namespace {
-
-/// Append a JSON-escaped copy of `s` (quotes not included). Our strings are
-/// enum names and file paths, but escape defensively anyway.
-void appendEscaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 void appendKeyString(std::string& out, std::string_view key,
                      std::string_view value) {
   out += '"';
   out += key;
   out += "\":\"";
-  appendEscaped(out, value);
+  util::appendJsonEscaped(out, value);
   out += '"';
 }
 
@@ -143,12 +114,6 @@ void PerfettoWriter::complete(std::string_view name, std::string_view cat,
   emitRaw(ev);
 }
 
-bool perfettoIsFaultEvent(std::string_view event) {
-  return event == "node_crash" || event == "node_recover" ||
-         event == "link_blackout" || event == "noise_burst" ||
-         event == "traffic_surge";
-}
-
 std::string perfettoArgs(const CausalRecord& r) {
   std::string args;
   char buf[96];
@@ -194,7 +159,7 @@ void perfettoEmitRecord(PerfettoWriter& w, const CausalRecord& r) {
     name += ':';
     name += r.kind;
   }
-  const bool fault = perfettoIsFaultEvent(r.event);
+  const bool fault = isFaultEvent(r.event);
   const char* cat = fault                ? "fault"
                     : r.uid != 0         ? "packet"
                     : r.event == "log"   ? "log"
@@ -242,15 +207,13 @@ void writeDispatchSpans(PerfettoWriter& w,
   }
 }
 
-long convertJsonlToPerfetto(const std::vector<std::string>& lines,
-                            const std::string& outPath) {
+long convertToPerfetto(const std::vector<CausalRecord>& records,
+                       const std::string& outPath) {
   PerfettoWriter w(outPath);
   if (!w.ok()) return -1;
   w.processName(kPerfettoNodesPid, "nodes (sim time)");
   std::set<net::NodeId> named;
-  CausalRecord r;
-  for (const std::string& line : lines) {
-    if (!parseCausalLine(line, r)) continue;
+  for (const CausalRecord& r : records) {
     if (named.insert(r.node).second) {
       w.threadName(kPerfettoNodesPid, r.node,
                    "node " + std::to_string(r.node));

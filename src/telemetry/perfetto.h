@@ -92,9 +92,6 @@ std::string perfettoArgs(const CausalRecord& r);
 /// named the node's track already (PerfettoSink handles this lazily).
 void perfettoEmitRecord(PerfettoWriter& w, const CausalRecord& r);
 
-/// True for fault-plan events (rendered as global instants).
-bool perfettoIsFaultEvent(std::string_view event);
-
 /// Append the scheduler's captured dispatch spans as complete events on the
 /// per-category tracks of pid 2 (includes the track metadata).
 void writeDispatchSpans(PerfettoWriter& w,
@@ -117,11 +114,11 @@ class PerfettoSink final : public TraceSink {
   std::set<net::NodeId> namedNodes_;
 };
 
-/// Offline converter: previously-written JSONL trace lines -> a Perfetto
+/// Offline converter: records read back from a JSONL trace -> a Perfetto
 /// timeline at `outPath` (used by tools/manet_trace --perfetto). Returns
 /// the number of timeline events written, or -1 if the file cannot be
-/// opened. Lines that are not trace records are skipped.
-long convertJsonlToPerfetto(const std::vector<std::string>& lines,
-                            const std::string& outPath);
+/// opened.
+long convertToPerfetto(const std::vector<CausalRecord>& records,
+                       const std::string& outPath);
 
 }  // namespace manet::telemetry

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <system_error>
 
+#include "src/util/json.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
 
@@ -97,37 +98,6 @@ TraceRecord packetRecord(TraceEvent event, sim::Time at, net::NodeId node,
   return r;
 }
 
-namespace {
-
-void appendEscaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
-
 std::string toJson(const TraceRecord& r, std::string_view note) {
   char buf[256];
   std::string out;
@@ -173,7 +143,7 @@ std::string toJson(const TraceRecord& r, std::string_view note) {
   const std::string_view n = note.empty() ? r.note : note;
   if (!n.empty()) {
     out += ",\"note\":\"";
-    appendEscaped(out, n);
+    util::appendJsonEscaped(out, n);
     out += '"';
   }
   out += '}';

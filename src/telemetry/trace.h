@@ -12,8 +12,8 @@
 //    `tracer && tracer->enabled()`, which is a null/empty check; no record
 //    is even constructed unless a sink is attached.
 //  * Sinks are simple: a bounded in-memory ring (post-mortem debugging,
-//    tests) and a JSONL file writer (machine-readable artifacts,
-//    examples/trace_inspector).
+//    tests) and a JSONL file writer (machine-readable artifacts, read back
+//    by tools/manet_trace).
 //  * Drop records are emitted at exactly the sites that increment the
 //    corresponding Metrics drop counters, so a trace always reconciles with
 //    the final counters (asserted by tests/integration/trace_reconcile).
@@ -149,8 +149,8 @@ class RingBufferSink final : public TraceSink {
 /// still reported by the caller).
 void ensureParentDir(const std::string& path);
 
-/// Streams records as JSON Lines to a file (one object per line), suitable
-/// for examples/trace_inspector and offline tooling.
+/// Streams records as JSON Lines to a file (one object per line), read back
+/// by readTraceFile (tools/manet_trace and the trace tests).
 class JsonlFileSink final : public TraceSink {
  public:
   explicit JsonlFileSink(const std::string& path);

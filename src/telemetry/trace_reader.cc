@@ -1,87 +1,15 @@
 #include "src/telemetry/trace_reader.h"
 
-#include <cstdlib>
 #include <fstream>
 
 #include "src/util/json.h"
 
 namespace manet::telemetry {
 
-namespace {
-
-/// Position just past `"key":`, or npos.
-std::size_t findValueStart(std::string_view line, std::string_view key) {
-  std::string needle;
-  needle.reserve(key.size() + 3);
-  needle += '"';
-  needle += key;
-  needle += "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string_view::npos) return std::string_view::npos;
-  return pos + needle.size();
-}
-
-}  // namespace
-
-std::optional<std::string> jsonStringField(std::string_view line,
-                                           std::string_view key) {
-  std::size_t pos = findValueStart(line, key);
-  if (pos == std::string_view::npos || pos >= line.size() ||
-      line[pos] != '"') {
-    return std::nullopt;
-  }
-  ++pos;
-  std::string out;
-  while (pos < line.size() && line[pos] != '"') {
-    if (line[pos] == '\\' && pos + 1 < line.size()) {
-      ++pos;
-      switch (line[pos]) {
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        default:
-          out += line[pos];
-      }
-    } else {
-      out += line[pos];
-    }
-    ++pos;
-  }
-  return out;
-}
-
-std::optional<double> jsonNumberField(std::string_view line,
-                                      std::string_view key) {
-  const std::size_t pos = findValueStart(line, key);
-  if (pos == std::string_view::npos || pos >= line.size()) {
-    return std::nullopt;
-  }
-  const std::string num(line.substr(pos, line.find_first_of(",}", pos) - pos));
-  char* end = nullptr;
-  const double v = std::strtod(num.c_str(), &end);
-  if (end == num.c_str()) return std::nullopt;
-  return v;
-}
-
-std::optional<std::vector<std::string>> readJsonlFile(
-    const std::string& path) {
+std::optional<TraceReadResult> readTraceFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) return std::nullopt;
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty()) lines.push_back(line);
-  }
-  return lines;
-}
-
-std::optional<JsonlReadResult> readJsonlFileChecked(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  JsonlReadResult out;
+  TraceReadResult out;
   std::string line;
   std::size_t lineNo = 0;
   while (std::getline(in, line)) {
@@ -89,18 +17,13 @@ std::optional<JsonlReadResult> readJsonlFileChecked(const std::string& path) {
     if (line.empty()) continue;
     std::string err;
     const auto parsed = util::parseJson(line, &err);
-    if (!parsed) {
-      out.errors.push_back("line " + std::to_string(lineNo) + ": " + err);
-      ++out.skipped;
+    CausalRecord r;
+    if (parsed && parseCausalLine(*parsed, r)) {
+      out.records.push_back(std::move(r));
       continue;
     }
-    if (!parsed->isObject()) {
-      out.errors.push_back("line " + std::to_string(lineNo) +
-                           ": not a JSON object");
-      ++out.skipped;
-      continue;
-    }
-    out.lines.push_back(line);
+    out.errors.push_back("line " + std::to_string(lineNo) + ": " +
+                         (parsed ? "not a trace record" : err));
   }
   return out;
 }

@@ -1,43 +1,28 @@
-// Minimal JSONL trace reading: just enough to replay traces written by
-// JsonlFileSink (flat objects, string/number values) without a JSON
-// dependency. Shared by examples/trace_inspector and the reconciliation
-// integration test.
+// Reading a JSONL trace written by JsonlFileSink back into CausalRecords:
+// each line is parsed once with util::parseJson. Shared by tools/manet_trace
+// and the trace tests.
 #pragma once
 
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
+
+#include "src/telemetry/causal.h"
 
 namespace manet::telemetry {
 
-/// Value of `"key":"..."` in a flat JSON object line, or nullopt.
-std::optional<std::string> jsonStringField(std::string_view line,
-                                           std::string_view key);
-
-/// Value of `"key":<number>` in a flat JSON object line, or nullopt.
-std::optional<double> jsonNumberField(std::string_view line,
-                                      std::string_view key);
-
-/// Read a JSONL file into lines (empty lines skipped). Returns nullopt if
-/// the file cannot be opened. Performs no validation; prefer
-/// readJsonlFileChecked for anything user-facing.
-std::optional<std::vector<std::string>> readJsonlFile(
-    const std::string& path);
-
-/// Result of a validating JSONL read: well-formed object lines in file
-/// order, plus a line-numbered error for every rejected line. A truncated
-/// tail (the common failure: a run killed mid-write) shows up as one error
-/// on the final line instead of silently vanishing from the analysis.
-struct JsonlReadResult {
-  std::vector<std::string> lines;   // lines that parsed as JSON objects
+/// A trace read back from disk: its records in file order, plus a
+/// line-numbered error for every rejected line. A truncated tail (the
+/// common failure: a run killed mid-write) shows up as one error on the
+/// final line instead of silently vanishing from the analysis.
+struct TraceReadResult {
+  std::vector<CausalRecord> records;
   std::vector<std::string> errors;  // "line N: <why>" per rejected line
-  std::size_t skipped = 0;          // rejected line count (== errors.size())
 };
 
-/// Read + validate a JSONL file: every non-empty line must parse as a JSON
-/// object (checked with util::parseJson). Returns nullopt only if the file
-/// cannot be opened; malformed lines are collected, not fatal.
-std::optional<JsonlReadResult> readJsonlFileChecked(const std::string& path);
+/// Read and validate a JSONL trace: every non-empty line must be a JSON
+/// object with a string "ev" field. Returns nullopt only if the file cannot
+/// be opened; rejected lines are collected, not fatal.
+std::optional<TraceReadResult> readTraceFile(const std::string& path);
 
 }  // namespace manet::telemetry

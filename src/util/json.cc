@@ -1,6 +1,7 @@
 #include "src/util/json.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -172,7 +173,8 @@ class Parser {
           case 'r': *out += '\r'; break;
           case 't': *out += '\t'; break;
           case 'u':
-            // Preserved verbatim (see header); our writers never emit \u.
+            // Preserved verbatim (see header): appendJsonEscaped emits \u00XX
+            // only for control bytes other than \n, \r and \t.
             *out += "\\u";
             break;
           default: return fail("bad escape");
@@ -244,6 +246,27 @@ class Parser {
 
 std::optional<JsonValue> parseJson(std::string_view text, std::string* err) {
   return Parser(text).run(err);
+}
+
+void appendJsonEscaped(std::string& out, std::string_view s) {
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
 }
 
 }  // namespace manet::util

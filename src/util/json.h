@@ -4,7 +4,8 @@
 // It exists for the documents the repo itself writes — JSONL trace lines
 // and campaign journals — so tooling can read them back. It is a reader for
 // our own well-formed output, not a hardened general-purpose parser:
-// \uXXXX escapes are preserved verbatim rather than decoded.
+// \uXXXX escapes are preserved verbatim rather than decoded. The writers'
+// shared string escaper, appendJsonEscaped, lives here too.
 #pragma once
 
 #include <map>
@@ -72,5 +73,10 @@ class JsonValue {
 /// sets `err` (if non-null) to a message with the byte offset.
 std::optional<JsonValue> parseJson(std::string_view text,
                                    std::string* err = nullptr);
+
+/// Append `s` as the body of a JSON string (quotes not included): `"`, `\`,
+/// `\n`, `\r` and `\t` get their short escapes, any other byte below 0x20
+/// becomes \u00XX (which parseJson keeps verbatim).
+void appendJsonEscaped(std::string& out, std::string_view s);
 
 }  // namespace manet::util

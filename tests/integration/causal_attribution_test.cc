@@ -28,6 +28,13 @@ namespace {
 
 using sim::Time;
 
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 /// Congested + churning: stale cache hits, link failures, and negative
 /// cache activity all occur, so the attribution report has real rows.
 scenario::ScenarioConfig churnScenario() {
@@ -55,13 +62,11 @@ TEST(CausalAttributionTest, ChurnRunAttributesEveryStaleDrop) {
   cfg.telemetry.traceJsonlPath = path;
   const scenario::RunResult r = scenario::runScenario(cfg);
 
-  const auto checked = telemetry::readJsonlFileChecked(path);
-  ASSERT_TRUE(checked.has_value());
-  EXPECT_EQ(checked->skipped, 0u)
-      << (checked->errors.empty() ? std::string() : checked->errors.front());
+  auto read = telemetry::readTraceFile(path);
+  ASSERT_TRUE(read.has_value());
+  EXPECT_TRUE(read->errors.empty()) << read->errors.front();
 
-  const telemetry::CausalIndex idx =
-      telemetry::CausalIndex::fromLines(checked->lines);
+  const telemetry::CausalIndex idx(std::move(read->records));
   const telemetry::StaleReport rep = idx.staleReport();
 
   // The scenario must actually produce stale-route drops...
@@ -104,10 +109,7 @@ TEST(CausalAttributionTest, TracedRunIsBitIdenticalToUntraced) {
 
   // And the Perfetto artifact it produced is valid JSON.
   std::string err;
-  std::ifstream in(perfetto, std::ios::binary);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const auto doc = util::parseJson(ss.str(), &err);
+  const auto doc = util::parseJson(slurp(perfetto), &err);
   ASSERT_TRUE(doc.has_value()) << err;
   EXPECT_TRUE(doc->isArray());
   EXPECT_GT(doc->asArray().size(), 0u);
@@ -146,17 +148,17 @@ TEST(CausalAttributionTest, CausalChainsAreIdenticalAcrossSweepJobCounts) {
 
   for (int rep = 0; rep < 2; ++rep) {
     const std::string suffix = "/trace.r" + std::to_string(rep) + ".jsonl";
-    const auto a = telemetry::readJsonlFile(dirA + suffix);
-    const auto b = telemetry::readJsonlFile(dirB + suffix);
+    auto a = telemetry::readTraceFile(dirA + suffix);
+    auto b = telemetry::readTraceFile(dirB + suffix);
     ASSERT_TRUE(a.has_value()) << dirA + suffix;
     ASSERT_TRUE(b.has_value()) << dirB + suffix;
-    ASSERT_GT(a->size(), 0u);
+    ASSERT_GT(a->records.size(), 0u);
     // The raw per-run traces are byte-identical across worker counts...
-    EXPECT_EQ(*a, *b) << "rep " << rep;
+    EXPECT_EQ(slurp(dirA + suffix), slurp(dirB + suffix)) << "rep " << rep;
 
     // ...and so is every rendered causal chain and the attribution report.
-    const telemetry::CausalIndex ia = telemetry::CausalIndex::fromLines(*a);
-    const telemetry::CausalIndex ib = telemetry::CausalIndex::fromLines(*b);
+    const telemetry::CausalIndex ia(std::move(a->records));
+    const telemetry::CausalIndex ib(std::move(b->records));
     EXPECT_EQ(ia.staleReport().render(), ib.staleReport().render());
     int compared = 0;
     for (const telemetry::CausalRecord& r : ia.records()) {

@@ -52,25 +52,23 @@ TEST(TraceReconcileTest, JsonlDropCountsMatchMetricsExactly) {
   const scenario::RunResult r = scenario::runScenario(cfg);
   const metrics::Metrics& m = r.metrics;
 
-  const auto lines = telemetry::readJsonlFile(path);
-  ASSERT_TRUE(lines.has_value());
-  ASSERT_GT(lines->size(), 0u);
+  const auto read = telemetry::readTraceFile(path);
+  ASSERT_TRUE(read.has_value());
+  ASSERT_TRUE(read->errors.empty()) << read->errors.front();
+  ASSERT_GT(read->records.size(), 0u);
 
   TraceCounts c;
-  for (const std::string& line : *lines) {
+  for (const telemetry::CausalRecord& rec : read->records) {
     ++c.lines;
-    const auto ev = telemetry::jsonStringField(line, "ev");
-    ASSERT_TRUE(ev.has_value()) << line;
-    if (*ev == "pkt_originate") {
+    if (rec.event == "pkt_originate") {
       ++c.originated;
-    } else if (*ev == "pkt_deliver") {
+    } else if (rec.event == "pkt_deliver") {
       ++c.delivered;
-    } else if (*ev == "pkt_forward") {
+    } else if (rec.event == "pkt_forward") {
       ++c.forwarded;
-    } else if (*ev == "pkt_drop") {
-      const auto reason = telemetry::jsonStringField(line, "reason");
-      ASSERT_TRUE(reason.has_value()) << line;
-      ++c.dropsByReason[*reason];
+    } else if (rec.event == "pkt_drop") {
+      ASSERT_FALSE(rec.reason.empty()) << "drop at t=" << rec.t;
+      ++c.dropsByReason[rec.reason];
     }
   }
 
@@ -116,23 +114,21 @@ TEST(TraceReconcileTest, FaultedRunReconcilesIncludingNodeDownDrops) {
   const scenario::RunResult r = scenario::runScenario(cfg);
   const metrics::Metrics& m = r.metrics;
 
-  const auto lines = telemetry::readJsonlFile(path);
-  ASSERT_TRUE(lines.has_value());
+  const auto read = telemetry::readTraceFile(path);
+  ASSERT_TRUE(read.has_value());
+  ASSERT_TRUE(read->errors.empty()) << read->errors.front();
 
   std::map<std::string, std::uint64_t> dropsByReason;
   std::uint64_t crashes = 0, recoveries = 0, bursts = 0;
-  for (const std::string& line : *lines) {
-    const auto ev = telemetry::jsonStringField(line, "ev");
-    ASSERT_TRUE(ev.has_value());
-    if (*ev == "pkt_drop") {
-      const auto reason = telemetry::jsonStringField(line, "reason");
-      ASSERT_TRUE(reason.has_value()) << line;
-      ++dropsByReason[*reason];
-    } else if (*ev == "node_crash") {
+  for (const telemetry::CausalRecord& rec : read->records) {
+    if (rec.event == "pkt_drop") {
+      ASSERT_FALSE(rec.reason.empty()) << "drop at t=" << rec.t;
+      ++dropsByReason[rec.reason];
+    } else if (rec.event == "node_crash") {
       ++crashes;
-    } else if (*ev == "node_recover") {
+    } else if (rec.event == "node_recover") {
       ++recoveries;
-    } else if (*ev == "noise_burst") {
+    } else if (rec.event == "noise_burst") {
       ++bursts;
     }
   }
@@ -162,17 +158,16 @@ TEST(TraceReconcileTest, CacheEventsArePresentAndConsistent) {
   cfg.telemetry.traceJsonlPath = path;
   const scenario::RunResult r = scenario::runScenario(cfg);
 
-  const auto lines = telemetry::readJsonlFile(path);
-  ASSERT_TRUE(lines.has_value());
+  const auto read = telemetry::readTraceFile(path);
+  ASSERT_TRUE(read.has_value());
+  ASSERT_TRUE(read->errors.empty()) << read->errors.front();
 
   std::uint64_t hits = 0, linkBreaks = 0, negInserts = 0, rerrs = 0;
-  for (const std::string& line : *lines) {
-    const auto ev = telemetry::jsonStringField(line, "ev");
-    ASSERT_TRUE(ev.has_value());
-    if (*ev == "cache_hit") ++hits;
-    if (*ev == "link_break") ++linkBreaks;
-    if (*ev == "neg_cache_insert") ++negInserts;
-    if (*ev == "rerr_originate") ++rerrs;
+  for (const telemetry::CausalRecord& rec : read->records) {
+    if (rec.event == "cache_hit") ++hits;
+    if (rec.event == "link_break") ++linkBreaks;
+    if (rec.event == "neg_cache_insert") ++negInserts;
+    if (rec.event == "rerr_originate") ++rerrs;
   }
   EXPECT_EQ(hits, r.metrics.cacheHits);
   EXPECT_EQ(linkBreaks, r.metrics.linkBreaksDetected);
@@ -195,9 +190,10 @@ TEST(TraceReconcileTest, RingSinkSeesTheSameStreamAsJsonl) {
   scn.run();
 
   ASSERT_NE(scn.ring(), nullptr);
-  const auto lines = telemetry::readJsonlFile(path);
-  ASSERT_TRUE(lines.has_value());
-  EXPECT_EQ(scn.ring()->totalRecorded(), lines->size());
+  const auto read = telemetry::readTraceFile(path);
+  ASSERT_TRUE(read.has_value());
+  ASSERT_TRUE(read->errors.empty()) << read->errors.front();
+  EXPECT_EQ(scn.ring()->totalRecorded(), read->records.size());
 
   std::remove(path.c_str());
 }

@@ -49,125 +49,6 @@ TEST(MetricsTest, ZeroDenominatorsAreSafe) {
   EXPECT_EQ(m.throughputKbps(Time::zero()), 0.0);
 }
 
-TEST(MetricsTest, AddSumsCounters) {
-  Metrics a, b;
-  a.dataOriginated = 10;
-  a.rtsTx = 5;
-  b.dataOriginated = 7;
-  b.rtsTx = 3;
-  b.expiredLinks = 2;
-  a.add(b);
-  EXPECT_EQ(a.dataOriginated, 17u);
-  EXPECT_EQ(a.rtsTx, 8u);
-  EXPECT_EQ(a.expiredLinks, 2u);
-}
-
-TEST(MetricsTest, AddSumsEveryField) {
-  // Element-wise sum across ALL fields — catches a counter added to the
-  // struct but forgotten in add().
-  Metrics a, b;
-  // Distinct values so a transposed assignment would also be caught.
-  std::uint64_t v = 1;
-  auto setAll = [&v](Metrics& m) {
-    m.dataOriginated = v++;
-    m.dataDelivered = v++;
-    m.bytesDelivered = v++;
-    m.rreqTx = v++;
-    m.rrepTx = v++;
-    m.rerrTx = v++;
-    m.rtsTx = v++;
-    m.ctsTx = v++;
-    m.ackTx = v++;
-    m.dataFrameTx = v++;
-    m.ctsTimeouts = v++;
-    m.ackTimeouts = v++;
-    m.rtsIgnoredBusy = v++;
-    m.routeDiscoveriesStarted = v++;
-    m.nonPropRequestsSent = v++;
-    m.floodRequestsSent = v++;
-    m.repliesReceived = v++;
-    m.goodRepliesReceived = v++;
-    m.targetRepliesGenerated = v++;
-    m.cacheRepliesGenerated = v++;
-    m.gratuitousRepliesGenerated = v++;
-    m.staleRepliesIgnored = v++;
-    m.cacheHits = v++;
-    m.invalidCacheHits = v++;
-    m.linkBreaksDetected = v++;
-    m.fakeLinkBreaks = v++;
-    m.salvageAttempts = v++;
-    m.rerrWideRebroadcasts = v++;
-    m.negCacheInsertions = v++;
-    m.expiredLinks = v++;
-    m.dropSendBufferTimeout = v++;
-    m.dropSendBufferOverflow = v++;
-    m.dropIfqFull = v++;
-    m.dropLinkFailNoSalvage = v++;
-    m.dropNegativeCache = v++;
-    m.dropTtlExpired = v++;
-    m.dropMacDuplicate = v++;
-    m.dropNodeDown = v++;
-    m.faultNodeCrashes = v++;
-    m.faultNodeRecoveries = v++;
-    m.faultLinkBlackouts = v++;
-    m.faultNoiseBursts = v++;
-    m.faultTrafficSurges = v++;
-    m.delaySumSec = static_cast<double>(v++);
-  };
-  setAll(a);
-  Metrics expectedDouble = a;
-  b = a;
-  a.add(b);
-  EXPECT_EQ(a.dataOriginated, 2 * expectedDouble.dataOriginated);
-  EXPECT_EQ(a.dataDelivered, 2 * expectedDouble.dataDelivered);
-  EXPECT_EQ(a.bytesDelivered, 2 * expectedDouble.bytesDelivered);
-  EXPECT_EQ(a.rreqTx, 2 * expectedDouble.rreqTx);
-  EXPECT_EQ(a.rrepTx, 2 * expectedDouble.rrepTx);
-  EXPECT_EQ(a.rerrTx, 2 * expectedDouble.rerrTx);
-  EXPECT_EQ(a.rtsTx, 2 * expectedDouble.rtsTx);
-  EXPECT_EQ(a.ctsTx, 2 * expectedDouble.ctsTx);
-  EXPECT_EQ(a.ackTx, 2 * expectedDouble.ackTx);
-  EXPECT_EQ(a.dataFrameTx, 2 * expectedDouble.dataFrameTx);
-  EXPECT_EQ(a.ctsTimeouts, 2 * expectedDouble.ctsTimeouts);
-  EXPECT_EQ(a.ackTimeouts, 2 * expectedDouble.ackTimeouts);
-  EXPECT_EQ(a.rtsIgnoredBusy, 2 * expectedDouble.rtsIgnoredBusy);
-  EXPECT_EQ(a.routeDiscoveriesStarted,
-            2 * expectedDouble.routeDiscoveriesStarted);
-  EXPECT_EQ(a.nonPropRequestsSent, 2 * expectedDouble.nonPropRequestsSent);
-  EXPECT_EQ(a.floodRequestsSent, 2 * expectedDouble.floodRequestsSent);
-  EXPECT_EQ(a.repliesReceived, 2 * expectedDouble.repliesReceived);
-  EXPECT_EQ(a.goodRepliesReceived, 2 * expectedDouble.goodRepliesReceived);
-  EXPECT_EQ(a.targetRepliesGenerated,
-            2 * expectedDouble.targetRepliesGenerated);
-  EXPECT_EQ(a.cacheRepliesGenerated, 2 * expectedDouble.cacheRepliesGenerated);
-  EXPECT_EQ(a.gratuitousRepliesGenerated,
-            2 * expectedDouble.gratuitousRepliesGenerated);
-  EXPECT_EQ(a.staleRepliesIgnored, 2 * expectedDouble.staleRepliesIgnored);
-  EXPECT_EQ(a.cacheHits, 2 * expectedDouble.cacheHits);
-  EXPECT_EQ(a.invalidCacheHits, 2 * expectedDouble.invalidCacheHits);
-  EXPECT_EQ(a.linkBreaksDetected, 2 * expectedDouble.linkBreaksDetected);
-  EXPECT_EQ(a.fakeLinkBreaks, 2 * expectedDouble.fakeLinkBreaks);
-  EXPECT_EQ(a.salvageAttempts, 2 * expectedDouble.salvageAttempts);
-  EXPECT_EQ(a.rerrWideRebroadcasts, 2 * expectedDouble.rerrWideRebroadcasts);
-  EXPECT_EQ(a.negCacheInsertions, 2 * expectedDouble.negCacheInsertions);
-  EXPECT_EQ(a.expiredLinks, 2 * expectedDouble.expiredLinks);
-  EXPECT_EQ(a.dropSendBufferTimeout, 2 * expectedDouble.dropSendBufferTimeout);
-  EXPECT_EQ(a.dropSendBufferOverflow,
-            2 * expectedDouble.dropSendBufferOverflow);
-  EXPECT_EQ(a.dropIfqFull, 2 * expectedDouble.dropIfqFull);
-  EXPECT_EQ(a.dropLinkFailNoSalvage, 2 * expectedDouble.dropLinkFailNoSalvage);
-  EXPECT_EQ(a.dropNegativeCache, 2 * expectedDouble.dropNegativeCache);
-  EXPECT_EQ(a.dropTtlExpired, 2 * expectedDouble.dropTtlExpired);
-  EXPECT_EQ(a.dropMacDuplicate, 2 * expectedDouble.dropMacDuplicate);
-  EXPECT_EQ(a.dropNodeDown, 2 * expectedDouble.dropNodeDown);
-  EXPECT_EQ(a.faultNodeCrashes, 2 * expectedDouble.faultNodeCrashes);
-  EXPECT_EQ(a.faultNodeRecoveries, 2 * expectedDouble.faultNodeRecoveries);
-  EXPECT_EQ(a.faultLinkBlackouts, 2 * expectedDouble.faultLinkBlackouts);
-  EXPECT_EQ(a.faultNoiseBursts, 2 * expectedDouble.faultNoiseBursts);
-  EXPECT_EQ(a.faultTrafficSurges, 2 * expectedDouble.faultTrafficSurges);
-  EXPECT_DOUBLE_EQ(a.delaySumSec, 2 * expectedDouble.delaySumSec);
-}
-
 TEST(MetricsTest, TotalDroppedSumsAllDropReasons) {
   Metrics m;
   EXPECT_EQ(m.totalDropped(), 0u);

@@ -1,6 +1,7 @@
 // Causal layer unit tests: JSONL line parsing, live-record projection,
 // ancestry / child walks, chain rendering, the stale-drop attribution
-// report, and the validating JSONL reader feeding all of it.
+// report, the whole-trace summary, and the validating JSONL reader feeding
+// all of it.
 #include "src/telemetry/causal.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 
 #include "src/telemetry/trace.h"
 #include "src/telemetry/trace_reader.h"
+#include "src/util/json.h"
 
 namespace manet::telemetry {
 namespace {
@@ -52,6 +54,7 @@ TEST(CausalTest, ToCausalRecordCarriesProvenanceAndCause) {
   t.cause = 41;
   t.src = 1;
   t.dst = 9;
+  t.flowId = 6;
   t.prov = net::RouteProvenance{99, net::RouteOrigin::kSnooped, 5,
                                 sim::Time::seconds(1), 4};
 
@@ -63,6 +66,7 @@ TEST(CausalTest, ToCausalRecordCarriesProvenanceAndCause) {
   EXPECT_EQ(r.kind, "DATA");
   EXPECT_EQ(r.uid, 42u);
   EXPECT_EQ(r.cause, 41u);
+  EXPECT_EQ(r.flow, 6u);
   EXPECT_EQ(r.prov, 99u);
   EXPECT_EQ(r.origin, "snooped");
   EXPECT_EQ(r.provNode, 5u);
@@ -80,12 +84,15 @@ TEST(CausalTest, ParseCausalLineRoundTripsThroughJsonl) {
   t.cause = 11;
   t.src = 3;
   t.dst = 8;
+  t.flowId = 4;
   t.detail = 1;
   t.prov = net::RouteProvenance{5, net::RouteOrigin::kTargetReply, 8,
                                 sim::Time::fromSeconds(0.5), 3};
 
+  const auto line = util::parseJson(toJson(t));
+  ASSERT_TRUE(line.has_value());
   CausalRecord parsed;
-  ASSERT_TRUE(parseCausalLine(toJson(t), parsed));
+  ASSERT_TRUE(parseCausalLine(*line, parsed));
   const CausalRecord direct = toCausalRecord(t);
   EXPECT_DOUBLE_EQ(parsed.t, direct.t);
   EXPECT_EQ(parsed.event, direct.event);
@@ -95,6 +102,8 @@ TEST(CausalTest, ParseCausalLineRoundTripsThroughJsonl) {
   EXPECT_EQ(parsed.cause, direct.cause);
   EXPECT_EQ(parsed.src, direct.src);
   EXPECT_EQ(parsed.dst, direct.dst);
+  EXPECT_EQ(parsed.flow, direct.flow);
+  EXPECT_EQ(parsed.flow, 4u);
   EXPECT_EQ(parsed.detail, direct.detail);
   EXPECT_EQ(parsed.prov, direct.prov);
   EXPECT_EQ(parsed.origin, direct.origin);
@@ -105,8 +114,10 @@ TEST(CausalTest, ParseCausalLineRoundTripsThroughJsonl) {
 
 TEST(CausalTest, ParseCausalLineRejectsNonRecords) {
   CausalRecord r;
-  EXPECT_FALSE(parseCausalLine("{\"foo\":1}", r));
-  EXPECT_FALSE(parseCausalLine("", r));
+  EXPECT_FALSE(parseCausalLine(*util::parseJson("{\"foo\":1}"), r));
+  EXPECT_FALSE(parseCausalLine(*util::parseJson("{\"ev\":1}"), r));
+  EXPECT_FALSE(parseCausalLine(*util::parseJson("[\"ev\"]"), r));
+  EXPECT_FALSE(parseCausalLine(util::JsonValue(), r));
 }
 
 // ----------------------------------------------------------- chain walks
@@ -215,6 +226,82 @@ TEST(CausalTest, StaleReportEmptyTraceRendersCleanly) {
   EXPECT_NE(rep.render().find("attributed: 0 (100.0%)"), std::string::npos);
 }
 
+// ----------------------------------------------------------- summary
+
+CausalRecord packetRec(double t, const char* event, std::uint64_t uid,
+                       std::uint32_t flow, const char* reason = "") {
+  CausalRecord r = rec(t, event, uid);
+  r.kind = "DATA";
+  r.flow = flow;
+  r.reason = reason;
+  return r;
+}
+
+TEST(CausalTest, RenderSummaryCountsFlowsFaultsAndTotals) {
+  CausalIndex idx;
+  idx.add(packetRec(0.5, "pkt_originate", 1, 1));
+  idx.add(packetRec(0.6, "pkt_originate", 2, 2));
+  CausalRecord crash = rec(1.0, "node_crash", 0);
+  crash.node = 4;
+  idx.add(crash);
+  idx.add(packetRec(1.2, "pkt_deliver", 1, 1));
+  idx.add(packetRec(1.3, "pkt_drop", 1, 1, "mac_duplicate"));
+  CausalRecord blackout = rec(2.0, "link_blackout", 0);
+  blackout.src = 2;
+  blackout.dst = 7;
+  blackout.detail = 1'500'000'000;  // window length in ns
+  idx.add(blackout);
+  idx.add(packetRec(2.5, "pkt_drop", 2, 2, "link_fail_no_salvage"));
+  CausalRecord recover = rec(3.0, "node_recover", 0);
+  recover.node = 4;
+  recover.detail = 1;  // caches wiped
+  idx.add(recover);
+  idx.add(packetRec(3.5, "pkt_originate", 3, 2));
+
+  EXPECT_EQ(idx.renderSummary(),
+            "9 records, t = [0.500 s, 3.500 s]\n"
+            "packet-scoped 6, with cause link 0, with provenance 0\n"
+            "\n"
+            "event totals:\n"
+            "  link_blackout               1\n"
+            "  node_crash                  1\n"
+            "  node_recover                1\n"
+            "  pkt_deliver                 1\n"
+            "  pkt_drop                    2\n"
+            "  pkt_originate               3\n"
+            "\n"
+            "drop reasons:\n"
+            "  link_fail_no_salvage            1\n"
+            "  mac_duplicate                   1\n"
+            "\n"
+            "fault timeline (3 events):\n"
+            "  t=    1.000 s  node 4 crashed\n"
+            "  t=    2.000 s  link 2->7 blacked out for 1.500 s\n"
+            "  t=    3.000 s  node 4 recovered (caches wiped)\n"
+            "\n"
+            "per-flow lifecycle (flow: originated -> delivered, drops by"
+            " reason):\n"
+            "  flow  1:      1 ->      1  (100.0% delivered, 0 lost)\n"
+            "           mac_duplicate               1\n"
+            "  flow  2:      2 ->      0  (  0.0% delivered, 2 lost)\n"
+            "           link_fail_no_salvage        1\n"
+            "\n"
+            // mac_duplicate is a redundant copy, not a lost packet.
+            "originated 3, delivered 1, dropped 1"
+            " (in-flight/buffered at end: 1)\n");
+}
+
+TEST(CausalTest, RenderSummaryCapsFaultTimelineAtForty) {
+  CausalIndex idx;
+  for (int i = 0; i < 42; ++i) idx.add(rec(i, "noise_burst", 0));
+  const std::string out = idx.renderSummary();
+  EXPECT_NE(out.find("fault timeline (42 events):\n"), std::string::npos);
+  EXPECT_NE(out.find("  t=   39.000 s  noise burst for 0.000 s\n"
+                     "  ... 2 more\n"),
+            std::string::npos);
+  EXPECT_EQ(out.find("t=   40.000 s"), std::string::npos);
+}
+
 // ------------------------------------------------------- checked reading
 
 TEST(CausalTest, CheckedReaderReportsMalformedLinesWithNumbers) {
@@ -226,10 +313,9 @@ TEST(CausalTest, CheckedReaderReportsMalformedLinesWithNumbers) {
     out << "{\"ev\":\"pkt_deliver\",\"uid\":1}\n";
     out << "{\"ev\":\"pkt_drop\",\"uid\":2\n";  // truncated tail
   }
-  const auto result = readJsonlFileChecked(path);
+  const auto result = readTraceFile(path);
   ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->lines.size(), 2u);
-  EXPECT_EQ(result->skipped, 2u);
+  EXPECT_EQ(result->records.size(), 2u);
   ASSERT_EQ(result->errors.size(), 2u);
   EXPECT_EQ(result->errors[0].rfind("line 2:", 0), 0u) << result->errors[0];
   EXPECT_EQ(result->errors[1].rfind("line 4:", 0), 0u) << result->errors[1];
@@ -238,18 +324,25 @@ TEST(CausalTest, CheckedReaderReportsMalformedLinesWithNumbers) {
 
 TEST(CausalTest, CheckedReaderMissingFileIsNullopt) {
   EXPECT_FALSE(
-      readJsonlFileChecked("/nonexistent/causal_nope.jsonl").has_value());
+      readTraceFile("/nonexistent/causal_nope.jsonl").has_value());
 }
 
 TEST(CausalTest, FromLinesSkipsNonRecordLines) {
-  const std::vector<std::string> lines = {
-      "{\"ev\":\"pkt_originate\",\"uid\":7,\"t\":0.5}",
-      "{\"not_a_record\":true}",
-      "{\"ev\":\"pkt_deliver\",\"uid\":7,\"t\":0.9}",
-  };
-  const CausalIndex idx = CausalIndex::fromLines(lines);
+  const std::string path = ::testing::TempDir() + "/causal_nonrecord.jsonl";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "{\"ev\":\"pkt_originate\",\"uid\":7,\"t\":0.5}\n";
+    out << "{\"not_a_record\":true}\n";
+    out << "{\"ev\":\"pkt_deliver\",\"uid\":7,\"t\":0.9}\n";
+  }
+  auto read = readTraceFile(path);
+  ASSERT_TRUE(read.has_value());
+  ASSERT_EQ(read->errors.size(), 1u);
+  EXPECT_EQ(read->errors[0], "line 2: not a trace record");
+  const CausalIndex idx(std::move(read->records));
   EXPECT_EQ(idx.records().size(), 2u);
   EXPECT_EQ(idx.packetRecords(7).size(), 2u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #include <sstream>
 
 #include "src/scenario/experiment.h"
-#include "src/telemetry/trace_reader.h"
+#include "src/util/json.h"
 
 namespace manet::telemetry {
 namespace {
@@ -38,12 +38,13 @@ TEST(ExportTest, MetricsJsonHasCountersAndDerived) {
   m.dataOriginated = 100;
   m.dataDelivered = 80;
   m.dropIfqFull = 20;
-  const std::string j = metricsJson(m, Time::seconds(10));
-  EXPECT_EQ(jsonNumberField(j, "data_originated"), 100.0);
-  EXPECT_EQ(jsonNumberField(j, "data_delivered"), 80.0);
-  EXPECT_EQ(jsonNumberField(j, "drop_ifq_full"), 20.0);
-  EXPECT_EQ(jsonNumberField(j, "total_dropped"), 20.0);
-  EXPECT_DOUBLE_EQ(*jsonNumberField(j, "packet_delivery_fraction"), 0.8);
+  const auto j = util::parseJson(metricsJson(m, Time::seconds(10)));
+  ASSERT_TRUE(j.has_value());
+  EXPECT_EQ(j->numberAt("data_originated", -1.0), 100.0);
+  EXPECT_EQ(j->numberAt("data_delivered", -1.0), 80.0);
+  EXPECT_EQ(j->numberAt("drop_ifq_full", -1.0), 20.0);
+  EXPECT_EQ(j->numberAt("total_dropped", -1.0), 20.0);
+  EXPECT_DOUBLE_EQ(j->numberAt("packet_delivery_fraction", -1.0), 0.8);
 }
 
 TEST(ExportTest, SeriesCsvRowsMatchSamples) {
@@ -86,9 +87,13 @@ TEST(ExportTest, RunReplicatedExportsAggregateAndSeries) {
 
   const std::string aggJson = slurp(dir + "/export_test.json");
   ASSERT_FALSE(aggJson.empty());
-  EXPECT_EQ(jsonStringField(aggJson, "label"), "export_test");
-  EXPECT_EQ(jsonStringField(aggJson, "protocol"), "dsr");
-  EXPECT_EQ(jsonNumberField(aggJson, "num_nodes"), 12.0);
+  const auto doc = util::parseJson(aggJson);
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->stringAt("label"), "export_test");
+  const util::JsonValue* config = doc->find("config");
+  ASSERT_NE(config, nullptr);
+  EXPECT_EQ(config->stringAt("protocol"), "dsr");
+  EXPECT_EQ(config->numberAt("num_nodes", -1.0), 12.0);
   EXPECT_NE(aggJson.find("\"aggregate\""), std::string::npos);
   EXPECT_NE(aggJson.find("\"delivery_fraction\""), std::string::npos);
   EXPECT_NE(aggJson.find("\"runs\":["), std::string::npos);

@@ -1,7 +1,7 @@
 // Perfetto export tests: the streaming writer must always leave a valid
 // JSON array (checked with the repo's own parser), the sink must lay out
-// node/fault tracks correctly, the offline JSONL converter must round-trip
-// trace lines, and scheduler dispatch-span capture must stay observational.
+// node/fault tracks correctly, the offline converter must round-trip
+// records read back from a trace, and scheduler dispatch-span capture must stay observational.
 #include "src/telemetry/perfetto.h"
 
 #include <gtest/gtest.h>
@@ -128,8 +128,10 @@ TEST(PerfettoTest, ConvertJsonlRoundTripsTraceLines) {
   t.node = 1;
   t.kind = net::PacketKind::kData;
   t.uid = 5;
-  const std::vector<std::string> lines = {toJson(t), "{\"not_a_record\":1}"};
-  const long events = convertJsonlToPerfetto(lines, path);
+  CausalRecord parsed;
+  ASSERT_TRUE(parseCausalLine(*util::parseJson(toJson(t)), parsed));
+  const std::vector<CausalRecord> records = {parsed};
+  const long events = convertToPerfetto(records, path);
   ASSERT_GT(events, 0);
   const util::JsonValue doc = parseFile(path);
   ASSERT_TRUE(doc.isArray());
@@ -142,7 +144,7 @@ TEST(PerfettoTest, ConvertJsonlRoundTripsTraceLines) {
   // parent-dir creation cannot help) reports failure as a negative count.
   const std::string blocker = ::testing::TempDir() + "/perfetto_blocker";
   { std::ofstream(blocker) << "x"; }
-  EXPECT_LT(convertJsonlToPerfetto(lines, blocker + "/x.json"), 0);
+  EXPECT_LT(convertToPerfetto(records, blocker + "/x.json"), 0);
   std::remove(path.c_str());
   std::remove(blocker.c_str());
 }

@@ -9,6 +9,7 @@
 #include "src/net/packet.h"
 #include "src/sim/scheduler.h"
 #include "src/telemetry/trace_reader.h"
+#include "src/util/json.h"
 
 namespace manet::telemetry {
 namespace {
@@ -105,11 +106,13 @@ TEST(ToJsonTest, PacketScopedRecord) {
   EXPECT_NE(j.find("\"uid\":42"), std::string::npos);
   EXPECT_NE(j.find("\"reason\":\"ifq_full\""), std::string::npos);
   EXPECT_NE(j.find("\"flow\":3"), std::string::npos);
-  // Parses back with the reader used by trace_inspector.
-  EXPECT_EQ(jsonStringField(j, "ev"), "pkt_drop");
-  EXPECT_EQ(jsonStringField(j, "reason"), "ifq_full");
-  EXPECT_EQ(jsonNumberField(j, "uid"), 42.0);
-  EXPECT_DOUBLE_EQ(*jsonNumberField(j, "t"), 1.5);
+  // Parses back with the reader the trace tools use.
+  const auto parsed = util::parseJson(j);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->stringAt("ev"), "pkt_drop");
+  EXPECT_EQ(parsed->stringAt("reason"), "ifq_full");
+  EXPECT_EQ(parsed->numberAt("uid"), 42.0);
+  EXPECT_DOUBLE_EQ(parsed->numberAt("t"), 1.5);
 }
 
 TEST(ToJsonTest, LinkScopedRecordOmitsPacketFields) {
@@ -145,11 +148,12 @@ TEST(JsonlFileSinkTest, WritesParseableLines) {
     sink.flush();
     EXPECT_EQ(sink.recordsWritten(), 2u);
   }
-  const auto lines = readJsonlFile(path);
-  ASSERT_TRUE(lines.has_value());
-  ASSERT_EQ(lines->size(), 2u);
-  EXPECT_EQ(jsonNumberField((*lines)[0], "uid"), 1.0);
-  EXPECT_EQ(jsonNumberField((*lines)[1], "uid"), 2.0);
+  const auto read = readTraceFile(path);
+  ASSERT_TRUE(read.has_value());
+  EXPECT_TRUE(read->errors.empty());
+  ASSERT_EQ(read->records.size(), 2u);
+  EXPECT_EQ(read->records[0].uid, 1u);
+  EXPECT_EQ(read->records[1].uid, 2u);
   std::remove(path.c_str());
 }
 

@@ -39,6 +39,21 @@ TEST(JsonTest, StringEscapes) {
   EXPECT_EQ(v->asString(), "a\"b\\c\nd\te");
 }
 
+TEST(JsonTest, AppendJsonEscapedRoundTripsThroughParse) {
+  std::string out = "\"";
+  appendJsonEscaped(out, "q\"b\\n\nr\rt\t");
+  out += '"';
+  EXPECT_EQ(out, "\"q\\\"b\\\\n\\nr\\rt\\t\"");
+  const auto v = parseJson(out);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->asString(), "q\"b\\n\nr\rt\t");
+
+  // Other control bytes become \u00XX, which the parser keeps verbatim.
+  std::string ctl;
+  appendJsonEscaped(ctl, std::string("a\x01\x1f", 3));
+  EXPECT_EQ(ctl, "a\\u0001\\u001f");
+}
+
 TEST(JsonTest, ConvenienceAccessors) {
   const auto v = parseJson("{\"n\": 7, \"s\": \"str\"}");
   ASSERT_TRUE(v.has_value());

@@ -3,7 +3,11 @@
 // Run any scenario or bench with MANET_TRACE_JSONL=<path>, then ask the
 // trace the questions the end-of-run counters cannot answer:
 //
-//   manet_trace <trace.jsonl>                   summary (record/event totals)
+//   manet_trace <trace.jsonl>                   summary: record, event and
+//                                               drop totals, the fault
+//                                               timeline, each flow's
+//                                               originated -> delivered
+//                                               count with drops by reason
 //   manet_trace <trace.jsonl> --chain <uid>     full causal chain of one
 //                                               packet: ancestry back to the
 //                                               application packet that
@@ -23,8 +27,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -42,41 +44,6 @@ int usage(const char* argv0) {
                " [--stale-report] [--perfetto <out.json>]\n",
                argv0);
   return 2;
-}
-
-void printSummary(const telemetry::CausalIndex& idx) {
-  std::map<std::string, std::uint64_t> events;
-  std::map<std::string, std::uint64_t> drops;
-  std::uint64_t packetScoped = 0;
-  std::uint64_t withCause = 0;
-  std::uint64_t withProv = 0;
-  double firstT = 0.0, lastT = 0.0;
-  bool any = false;
-  for (const telemetry::CausalRecord& r : idx.records()) {
-    ++events[r.event];
-    if (!any) firstT = r.t;
-    lastT = r.t;
-    any = true;
-    if (r.uid != 0) ++packetScoped;
-    if (r.cause != 0) ++withCause;
-    if (r.prov != 0) ++withProv;
-    if (r.event == "pkt_drop") ++drops[r.reason];
-  }
-  std::printf("%zu records, t = [%.3f s, %.3f s]\n", idx.records().size(),
-              firstT, lastT);
-  std::printf("packet-scoped %" PRIu64 ", with cause link %" PRIu64
-              ", with provenance %" PRIu64 "\n\n",
-              packetScoped, withCause, withProv);
-  std::printf("event totals:\n");
-  for (const auto& [ev, n] : events) {
-    std::printf("  %-18s %10" PRIu64 "\n", ev.c_str(), n);
-  }
-  if (!drops.empty()) {
-    std::printf("\ndrop reasons:\n");
-    for (const auto& [why, n] : drops) {
-      std::printf("  %-22s %10" PRIu64 "\n", why.c_str(), n);
-    }
-  }
 }
 
 }  // namespace
@@ -114,23 +81,22 @@ int main(int argc, char** argv) {
     summary = true;  // bare invocation: summarise
   }
 
-  const auto read = telemetry::readJsonlFileChecked(path);
+  auto read = telemetry::readTraceFile(path);
   if (!read) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
   }
-  if (read->skipped > 0) {
+  if (!read->errors.empty()) {
     std::fprintf(stderr, "%s: skipped %zu malformed line(s):\n", path.c_str(),
-                 read->skipped);
+                 read->errors.size());
     for (const std::string& e : read->errors) {
       std::fprintf(stderr, "  %s\n", e.c_str());
     }
   }
 
-  const telemetry::CausalIndex idx =
-      telemetry::CausalIndex::fromLines(read->lines);
+  const telemetry::CausalIndex idx(std::move(read->records));
 
-  if (summary) printSummary(idx);
+  if (summary) std::fputs(idx.renderSummary().c_str(), stdout);
 
   for (std::uint64_t uid : chains) {
     if (idx.packetRecords(uid).empty()) {
@@ -145,7 +111,7 @@ int main(int argc, char** argv) {
   }
 
   if (!perfettoOut.empty()) {
-    const long n = telemetry::convertJsonlToPerfetto(read->lines, perfettoOut);
+    const long n = telemetry::convertToPerfetto(idx.records(), perfettoOut);
     if (n < 0) {
       std::fprintf(stderr, "cannot write %s\n", perfettoOut.c_str());
       return 1;
