@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -462,6 +463,48 @@ void BM_NeighborQueryGrid(benchmark::State& state) {
   neighborQueryBench(state, grid, f.sched, f.radios);
 }
 BENCHMARK(BM_NeighborQueryGrid)->Arg(50)->Arg(500);
+
+// The same query on moving random-waypoint radios at the paper's density
+// (2200x600 m per 100 radios, the field scaled by sqrt(N/100)), pause 0,
+// 20 m/s. Sim time advances 300 us per query, about the paper run's
+// transmission rate, so the grid advances cached trajectory pieces and
+// re-buckets once per simulated second as it does in a run.
+void BM_NeighborQueryGridWaypoint(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const double scale = std::sqrt(n / 100.0);
+  sim::Scheduler sched;
+  phy::Channel channel{sched, phy::PhyConfig{}};
+  mobility::RandomWaypoint::Params p;
+  p.field = {2200.0 * scale, 600.0 * scale};
+  p.maxSpeed = 20.0;
+  p.pause = sim::Time::zero();
+  p.horizon = sim::Time::seconds(3000);
+  std::vector<std::unique_ptr<mobility::MobilityModel>> mobs;
+  std::vector<std::unique_ptr<phy::Radio>> radios;
+  for (int i = 0; i < n; ++i) {
+    mobs.push_back(std::make_unique<mobility::RandomWaypoint>(
+        sim::Rng(static_cast<std::uint64_t>(i) + 1), p));
+    radios.push_back(std::make_unique<phy::Radio>(
+        static_cast<net::NodeId>(i), *mobs.back(), channel, sched));
+  }
+  phy::GridNeighborIndex grid(sched, 250.0, 20.0, sim::Time::seconds(1));
+  for (auto& r : radios) grid.attach(r.get());
+  std::uint64_t i = 0;
+  std::uint64_t inRange = 0;
+  for (auto _ : state) {
+    sched.runUntil(sched.now() + sim::Time::micros(300));
+    const phy::Radio& tx = *radios[i++ % radios.size()];
+    grid.forEachInRange(grid.positionAt(tx.id(), sched.now()), 250.0,
+                        sched.now(), &tx,
+                        [&](phy::Radio&, double) { ++inRange; });
+  }
+  benchmark::DoNotOptimize(inRange);
+  state.SetItemsProcessed(state.iterations());
+  state.counters["radios"] = static_cast<double>(n);
+  state.counters["in_range"] =
+      static_cast<double>(inRange) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_NeighborQueryGridWaypoint)->Arg(100)->Arg(400);
 
 // Scheduler throughput: schedule n events up front, then drain them. The
 // workload mixes ties and spread-out timers like a real MAC/timer mix. At

@@ -37,10 +37,17 @@ RandomWaypoint::RandomWaypoint(sim::Rng rng, const Params& p) {
   }
 }
 
-Vec2 RandomWaypoint::positionAt(sim::Time t) const {
+Segment RandomWaypoint::segmentAt(sim::Time t) const {
   assert(!legs_.empty());
-  if (t <= legs_.front().start) return legs_.front().from;
-  if (t >= legs_.back().end) return legs_.back().to;
+  const Leg& first = legs_.front();
+  const Leg& last = legs_.back();
+  if (t <= first.start) {
+    return Segment::fixed(first.from, sim::Time::min(),
+                          first.start + sim::Time::nanos(1));
+  }
+  if (t >= last.end) {
+    return Segment::fixed(last.to, last.end, sim::Time::max());
+  }
   // Find the leg containing t: first leg with end > t. Try the cached leg
   // and its successor first (queries track sim time), then fall back to
   // the binary search.
@@ -61,11 +68,11 @@ Vec2 RandomWaypoint::positionAt(sim::Time t) const {
     cursor_ = i;
   }
   const Leg& leg = legs_[i];
-  if (leg.end == leg.start) return leg.from;
-  // manet-lint: allow(float-time): position interpolation is real-valued
-  const double frac =
-      (t - leg.start).toSeconds() / (leg.end - leg.start).toSeconds();
-  return leg.from + (leg.to - leg.from) * frac;
+  // The first leg's start instant belongs to the fixed piece above (so
+  // does a zero-length first leg's successor's, which shares it).
+  const sim::Time validFrom =
+      std::max(leg.start, first.start + sim::Time::nanos(1));
+  return Segment{leg.from, leg.to, leg.start, leg.end, validFrom, leg.end};
 }
 
 }  // namespace manet::mobility

@@ -28,7 +28,9 @@ class RandomWaypoint final : public MobilityModel {
   /// (consumed by value so each node owns an independent stream).
   RandomWaypoint(sim::Rng rng, const Params& params);
 
-  Vec2 positionAt(sim::Time t) const override;
+  /// Before the first leg and after the last one the node holds its end
+  /// point; in between, the piece is the leg that holds `t`.
+  Segment segmentAt(sim::Time t) const override;
 
   /// One motion or pause segment; `from == to` during pauses.
   struct Leg {

@@ -10,7 +10,7 @@ sim::Time Channel::transmit(Radio& sender, const mac::Frame& f) {
   const sim::Time now = sched_.now();
   const sim::Time dur = txDuration(f.bytes());
   const sim::Time end = now + dur;
-  const Vec2 pos = sender.position();
+  const Vec2 pos = index_->positionAt(sender.id(), now);
   const std::uint64_t txId = nextTxId_++;
 
   prune();
@@ -42,7 +42,7 @@ sim::Time Channel::transmit(Radio& sender, const mac::Frame& f) {
 bool Channel::carrierBusy(const Radio& r) const {
   prune();
   const sim::Time now = sched_.now();
-  const Vec2 pos = r.position();
+  const Vec2 pos = index_->positionAt(r.id(), now);
   for (const ActiveTx& tx : active_) {
     if (tx.sender == &r) return true;  // transmitting ourselves
     if (distance(tx.senderPos, pos) > cfg_.rangeMeters) continue;
@@ -60,7 +60,7 @@ sim::Time Channel::busyUntil(const Radio& r) const {
   prune();
   const sim::Time now = sched_.now();
   sim::Time latest = now;
-  const Vec2 pos = r.position();
+  const Vec2 pos = index_->positionAt(r.id(), now);
   for (const ActiveTx& tx : active_) {
     if (tx.sender != &r) {
       if (distance(tx.senderPos, pos) > cfg_.rangeMeters) continue;

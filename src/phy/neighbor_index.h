@@ -7,30 +7,34 @@
 // drop-in:
 //
 //   * ScanNeighborIndex — the original full scan; zero bookkeeping, exact.
-//   * GridNeighborIndex — a uniform grid of cells sized so that only a
-//     radio bucketed in the 3x3 cell block around a query point can possibly
-//     be in range. Node positions are continuous functions of time, so the
-//     grid re-buckets lazily (amortized over queries) and pads its search
-//     radius by the worst-case movement since the last refresh; candidates
-//     are then confirmed with an exact distance check. The candidate set is
-//     therefore always a superset of the true in-range set, and the visit
-//     order (ascending attach order) matches the full scan — so the two
-//     implementations deliver *identical* frame sets in identical order and
-//     runs stay byte-identical whichever index is selected.
+//   * GridNeighborIndex — flat per-radio state in attach order: each radio's
+//     cached trajectory piece (mobility::Segment) and its position at the
+//     last refresh, bucketed into a dense array of cells sized so that only
+//     a radio bucketed in the 3x3 cell block around a query point can
+//     possibly be in range. Node positions are continuous functions of time,
+//     so the grid re-buckets lazily (amortized over queries) and pads its
+//     search radius by the worst-case movement since the last refresh. A
+//     candidate whose stored position is farther than that is rejected
+//     without evaluating its trajectory; the rest set bits in a bitset over
+//     attach indices and are confirmed, in ascending attach order, with an
+//     exact distance check on the cached piece. Pieces are evaluated by the
+//     one evaluator every position query uses, so the grid and the scan
+//     deliver *identical* frame sets with bit-equal distances in identical
+//     order, and runs stay byte-identical whichever index is selected.
 //
-// Consumers beyond Channel::transmit (the link oracle's ground-truth checks,
-// the fault injector's radio-wide sweeps and neighbor-aware blackout
-// targeting, Network::positionOf) use the same query API instead of reaching
-// into radio lists directly.
+// Consumers beyond Channel::transmit (the channel's carrier sense, the link
+// oracle's ground-truth checks, the fault injector's radio-wide sweeps and
+// neighbor-aware blackout targeting, Network::positionOf) use the same query
+// API instead of reaching into radio lists directly.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
+#include "src/mobility/mobility_model.h"
 #include "src/net/packet.h"
 #include "src/sim/scheduler.h"
 #include "src/util/vec2.h"
@@ -91,16 +95,17 @@ class NeighborIndex {
   virtual std::size_t lastExamined() const = 0;
 
   /// Visit every attached radio in attach order (fault sweeps, tests).
-  virtual void forEachRadio(const std::function<void(Radio&)>& fn) const = 0;
+  void forEachRadio(const std::function<void(Radio&)>& fn) const;
 
-  virtual std::size_t size() const = 0;
+  std::size_t size() const { return radios_.size(); }
   virtual const char* name() const = 0;
 
-  // --- exact queries (measurement paths; no spatial acceleration) ---
+  // --- exact queries ---
 
-  /// Position of radio `id` at an arbitrary sim time, evaluated directly
-  /// from its trajectory (charged to the mobility category like every other
-  /// position query). `id` must be attached.
+  /// Position of radio `id` at an arbitrary sim time (charged to the
+  /// mobility category like every other position query). The channel's
+  /// carrier sense and sender positions, the link oracle and
+  /// Network::positionOf all read positions here. `id` must be attached.
   Vec2 positionAt(net::NodeId id, sim::Time t) const;
 
   /// True if radios `a` and `b` are within `range` meters of each other at
@@ -111,14 +116,17 @@ class NeighborIndex {
  protected:
   explicit NeighborIndex(sim::Scheduler& sched) : sched_(sched) {}
 
-  /// Shared id -> radio map for the exact queries; implementations call
-  /// this from attach().
-  void registerId(Radio* r);
+  /// Append `r` to the attach order and map its id to its attach index;
+  /// implementations call this from attach().
+  void registerRadio(Radio* r);
+  /// Position of the radio at attach index `slot` at time `t`.
+  virtual Vec2 slotPosition(std::uint32_t slot, sim::Time t) const = 0;
 
   sim::Scheduler& sched_;
+  std::vector<Radio*> radios_;  // attach order
 
  private:
-  std::unordered_map<net::NodeId, Radio*> byId_;
+  std::vector<std::uint32_t> slotById_;  // node id -> attach index
 };
 
 /// The original O(N) full scan. Reference implementation and the byte-compare
@@ -127,16 +135,15 @@ class ScanNeighborIndex final : public NeighborIndex {
  public:
   explicit ScanNeighborIndex(sim::Scheduler& sched) : NeighborIndex(sched) {}
 
-  void attach(Radio* r) override;
+  void attach(Radio* r) override { registerRadio(r); }
   void forEachInRange(const Vec2& pos, double range, sim::Time now,
                       const Radio* exclude, RadioVisitor fn) const override;
   std::size_t lastExamined() const override { return lastExamined_; }
-  void forEachRadio(const std::function<void(Radio&)>& fn) const override;
-  std::size_t size() const override { return radios_.size(); }
   const char* name() const override { return "scan"; }
 
  private:
-  std::vector<Radio*> radios_;
+  Vec2 slotPosition(std::uint32_t slot, sim::Time t) const override;
+
   mutable std::size_t lastExamined_ = 0;
 };
 
@@ -162,34 +169,47 @@ class GridNeighborIndex final : public NeighborIndex {
   void forEachInRange(const Vec2& pos, double range, sim::Time now,
                       const Radio* exclude, RadioVisitor fn) const override;
   std::size_t lastExamined() const override { return lastExamined_; }
-  void forEachRadio(const std::function<void(Radio&)>& fn) const override;
-  std::size_t size() const override { return slots_.size(); }
   const char* name() const override { return "grid"; }
 
   /// Test hook: number of full re-buckets performed so far.
   std::uint64_t refreshCount() const { return refreshes_; }
 
  private:
-  struct Slot {
-    Radio* radio;
-    std::uint64_t cell;  // key of the bucket currently holding this slot
-  };
-
-  static std::uint64_t cellKey(const Vec2& p, double cellSize);
+  /// Cell column/row of coordinate `v`, clamped to [0, n). Radios and
+  /// query blocks are clamped alike, so a radio whose cell lies in a query's
+  /// block still does after clamping: the 3x3 superset survives.
+  std::int64_t cellIndex(double v, std::int64_t origin,
+                         std::int64_t n) const;
+  /// Evaluates the cached piece, first advancing it if `t` has left the
+  /// piece's window.
+  Vec2 slotPosition(std::uint32_t slot, sim::Time t) const override;
   void refresh(sim::Time now) const;
+  void rebuildCells() const;
 
   double cellSize_;
   double speedBound_;
   sim::Time refreshPeriod_;
+  double pad_;
   // Lazily maintained spatial state (const queries refresh it; the same
-  // mutable-cache idiom as Channel::prune).
-  mutable std::vector<Slot> slots_;  // by attach order
-  mutable std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>
-      cells_;  // cell key -> slot indices (each vector kept sorted ascending)
+  // mutable-cache idiom as Channel::prune). Per-radio vectors are indexed by
+  // attach index.
+  mutable std::vector<mobility::Segment> segments_;  // cached pieces
+  mutable std::vector<Vec2> stored_;  // positions at the last refresh
+  // Dense cells in CSR form: the cell at (column cx, row cy), counted from
+  // (originX_, originY_), holds cellSlots_[cellStart_[c] .. cellStart_[c+1])
+  // with c = cy * cols_ + cx, ascending. cellPos_ mirrors cellSlots_ with
+  // the stored positions, so the prefilter reads memory in order.
+  mutable std::int64_t originX_ = 0;
+  mutable std::int64_t originY_ = 0;
+  mutable std::int64_t cols_ = 0;
+  mutable std::int64_t rows_ = 0;
+  mutable std::vector<std::uint32_t> cellStart_;
+  mutable std::vector<std::uint32_t> cellSlots_;
+  mutable std::vector<Vec2> cellPos_;
+  mutable bool cellsStale_ = true;  // a radio was attached since the rebuild
+  mutable std::vector<std::uint64_t> candidates_;  // bitset over slots
   mutable sim::Time lastRefresh_ = sim::Time::zero();
-  mutable bool everRefreshed_ = false;
   mutable std::size_t lastExamined_ = 0;
-  mutable std::vector<std::uint32_t> scratch_;  // candidate slot indices
   mutable std::uint64_t refreshes_ = 0;
 };
 

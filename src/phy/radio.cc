@@ -13,14 +13,9 @@ Radio::Radio(net::NodeId id, const mobility::MobilityModel& mobility,
   channel_.attach(this);
 }
 
-Vec2 Radio::position() const {
-  // Position queries dominate channel work; attribute the waypoint
-  // evaluation to mobility rather than the PHY/MAC event that needed it.
-  prof::Scope profScope(sched_.profiler(), prof::Category::kMobility);
+Vec2 Radio::positionQuiet() const {
   return mobility_.positionAt(sched_.now());
 }
-
-Vec2 Radio::positionQuiet() const { return mobility_.positionAt(sched_.now()); }
 
 sim::Time Radio::startTx(const mac::Frame& f) {
   // Crashed radio: nothing reaches the air. Burn the airtime anyway so the

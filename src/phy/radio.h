@@ -26,14 +26,14 @@ class Radio {
         Channel& channel, sim::Scheduler& sched);
 
   net::NodeId id() const { return id_; }
-  Vec2 position() const;
-  /// position() without the mobility profiler scope: the NeighborIndex
-  /// hot loops evaluate dozens of candidate positions per transmission,
-  /// where a scope per call (two clock reads) would dominate the loop. Attribution for these stays with the querying event's
-  /// category; all other callers use position().
+  /// Position at the scheduler's current time, evaluated from the
+  /// trajectory with no profiler scope. ScanNeighborIndex calls it for
+  /// every radio on every query, where a scope per call (two clock reads)
+  /// would dominate the loop; the time stays with the querying event's
+  /// category. Channel reads positions through its NeighborIndex instead.
   Vec2 positionQuiet() const;
-  /// The trajectory this radio rides on (NeighborIndex evaluates it for
-  /// arbitrary-time oracle queries).
+  /// The trajectory this radio rides on (NeighborIndex caches its pieces
+  /// and evaluates it for arbitrary-time oracle queries).
   const mobility::MobilityModel& mobility() const { return mobility_; }
 
   void setReceiveHandler(RxHandler h) { rxHandler_ = std::move(h); }

@@ -30,6 +30,9 @@ class Time {
   static constexpr Time max() {
     return Time(std::numeric_limits<std::int64_t>::max());
   }
+  static constexpr Time min() {
+    return Time(std::numeric_limits<std::int64_t>::min());
+  }
   static constexpr Time zero() { return Time(0); }
 
   constexpr std::int64_t ns() const { return ns_; }

@@ -82,5 +82,37 @@ TEST(EngineEquivalenceTest, ScanAndGridDeliverByteIdenticalRuns) {
   expectIdentical(scan, grid);
 }
 
+TEST(EngineEquivalenceTest, ScanAndGridAgreeUnderFaults) {
+  // Pause 0 keeps every radio moving, so the grid advances cached pieces
+  // all run long. Churn, in-range blackouts and noise bursts run the fault
+  // injector's forEachInRange/forEachRadio calls and the per-receiver
+  // linkBlocked path on both indexes.
+  const auto faults = [](ScenarioConfig& c) {
+    c.pause = Time::zero();
+    c.fault.churn.fraction = 0.2;
+    c.fault.churn.meanUpTimeSec = 8.0;
+    c.fault.churn.meanDownTimeSec = 3.0;
+    c.fault.blackout.meanGapSec = 1.5;
+    c.fault.blackout.meanDurationSec = 2.0;
+    c.fault.blackout.inRangeOnly = true;
+    c.fault.noise.meanGapSec = 6.0;
+    c.fault.noise.meanDurationSec = 1.0;
+    c.fault.noise.corruptProb = 0.3;
+  };
+  const Capture scan = run([&](ScenarioConfig& c) {
+    faults(c);
+    c.phy.neighborIndex = phy::NeighborIndexKind::kScan;
+  });
+  const Capture grid = run([&](ScenarioConfig& c) {
+    faults(c);
+    c.phy.neighborIndex = phy::NeighborIndexKind::kGrid;
+  });
+  EXPECT_GT(scan.result.metrics.dataDelivered, 0u);
+  EXPECT_GT(scan.result.metrics.faultNodeCrashes, 0u);
+  EXPECT_GT(scan.result.metrics.faultLinkBlackouts, 0u);
+  EXPECT_GT(scan.result.metrics.faultNoiseBursts, 0u);
+  expectIdentical(scan, grid);
+}
+
 }  // namespace
 }  // namespace manet::scenario

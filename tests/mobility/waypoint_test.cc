@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "src/sim/rng.h"
 
 namespace manet::mobility {
@@ -137,6 +142,106 @@ TEST(WaypointTest, PauseEqualToHorizonMeansStaticNode) {
   const Vec2 start = wp.positionAt(Time::zero());
   for (int t = 0; t <= 200; t += 20) {
     EXPECT_EQ(wp.positionAt(Time::seconds(t)), start);
+  }
+}
+
+// The leg-interpolating positionAt body RandomWaypoint had before
+// positions were evaluated through Segment::at, kept as an oracle.
+Vec2 oraclePositionAt(const std::vector<RandomWaypoint::Leg>& legs,
+                      std::size_t& cursor, Time t) {
+  if (t <= legs.front().start) return legs.front().from;
+  if (t >= legs.back().end) return legs.back().to;
+  const auto contains = [&](std::size_t j) {
+    return legs[j].start <= t && t < legs[j].end;
+  };
+  std::size_t i = cursor;
+  if (i >= legs.size() || !contains(i)) {
+    if (i + 1 < legs.size() && contains(i + 1)) {
+      i = i + 1;
+    } else {
+      i = static_cast<std::size_t>(
+          std::upper_bound(legs.begin(), legs.end(), t,
+                           [](Time v, const RandomWaypoint::Leg& leg) {
+                             return v < leg.end;
+                           }) -
+          legs.begin());
+    }
+    cursor = i;
+  }
+  const RandomWaypoint::Leg& leg = legs[i];
+  if (leg.end == leg.start) return leg.from;
+  const double frac =
+      (t - leg.start).toSeconds() / (leg.end - leg.start).toSeconds();
+  return leg.from + (leg.to - leg.from) * frac;
+}
+
+bool bitEqual(Vec2 a, Vec2 b) {
+  return std::bit_cast<std::uint64_t>(a.x) ==
+             std::bit_cast<std::uint64_t>(b.x) &&
+         std::bit_cast<std::uint64_t>(a.y) == std::bit_cast<std::uint64_t>(b.y);
+}
+
+/// Every leg's start, start + 1 ns, midpoint, end - 1 ns and end, plus
+/// instants before the first leg and after the last, in ascending order.
+std::vector<Time> probeTimes(const RandomWaypoint& wp) {
+  const Time ns = Time::nanos(1);
+  std::vector<Time> ts{Time::seconds(-1), Time::zero() - ns};
+  for (const auto& leg : wp.legs()) {
+    ts.push_back(leg.start);
+    ts.push_back(leg.start + ns);
+    ts.push_back(leg.start + Time::nanos((leg.end - leg.start).ns() / 2));
+    ts.push_back(leg.end - ns);
+    ts.push_back(leg.end);
+  }
+  ts.push_back(wp.legs().back().end + ns);
+  ts.push_back(wp.legs().back().end + Time::seconds(100));
+  std::sort(ts.begin(), ts.end());
+  return ts;
+}
+
+/// Compares positionAt (and every cached piece still holding a later probe)
+/// with the oracle, bit for bit. Returns the number of zero-length legs.
+int expectMatchesOracle(const RandomWaypoint& wp) {
+  std::size_t cursor = 0;
+  Segment cached = wp.segmentAt(Time::min());
+  for (const Time t : probeTimes(wp)) {
+    const Vec2 want = oraclePositionAt(wp.legs(), cursor, t);
+    EXPECT_TRUE(bitEqual(wp.positionAt(t), want)) << "t=" << t.ns();
+    const Segment seg = wp.segmentAt(t);
+    EXPECT_TRUE(seg.holds(t)) << "t=" << t.ns();
+    // A piece answers for its whole window: one fetched at an earlier
+    // probe gives the same bits as a fresh lookup.
+    if (cached.holds(t)) {
+      EXPECT_TRUE(bitEqual(cached.at(t), want)) << "cached, t=" << t.ns();
+    }
+    cached = seg;
+  }
+  return static_cast<int>(
+      std::count_if(wp.legs().begin(), wp.legs().end(),
+                    [](const auto& leg) { return leg.end == leg.start; }));
+}
+
+TEST(WaypointTest, SegmentsMatchLegInterpolationOracle) {
+  auto p = defaultParams();
+  for (const int pauseSec : {0, 30}) {
+    p.pause = Time::seconds(pauseSec);
+    RandomWaypoint wp(Rng(31), p);
+    expectMatchesOracle(wp);
+  }
+}
+
+TEST(WaypointTest, SegmentsMatchOracleOnZeroLengthAndPauseLegs) {
+  // On a 10 nm field most legs take under a nanosecond, which truncates
+  // to a zero-length leg; a 3 ns pause adds short pause legs between them.
+  RandomWaypoint::Params p;
+  p.field = {1e-8, 1e-8};
+  p.minSpeed = 0.1;
+  p.maxSpeed = 20.0;
+  p.horizon = Time::micros(5);
+  for (const Time pause : {Time::zero(), Time::nanos(3)}) {
+    p.pause = pause;
+    RandomWaypoint wp(Rng(8), p);
+    EXPECT_GT(expectMatchesOracle(wp), 0) << "no zero-length legs";
   }
 }
 

@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/mobility/mobility_model.h"
+#include "src/mobility/waypoint.h"
 #include "src/phy/channel.h"
 #include "src/phy/radio.h"
 #include "src/sim/rng.h"
@@ -22,13 +24,15 @@ using mobility::StaticMobility;
 using sim::Scheduler;
 using sim::Time;
 
-/// Constant-velocity trajectory for staleness tests.
+/// Constant-velocity trajectory for staleness tests. Its pieces are single
+/// instants, so the grid re-reads it on every query.
 class LinearMobility final : public mobility::MobilityModel {
  public:
   LinearMobility(Vec2 start, Vec2 velocity) : start_(start), v_(velocity) {}
-  Vec2 positionAt(Time t) const override {
+  mobility::Segment segmentAt(Time t) const override {
     const double s = t.toSeconds();
-    return {start_.x + v_.x * s, start_.y + v_.y * s};
+    return mobility::Segment::fixed({start_.x + v_.x * s, start_.y + v_.y * s},
+                                    t, t + Time::nanos(1));
   }
 
  private:
@@ -151,6 +155,136 @@ TEST(NeighborIndexTest, GridStaysExactWhileNodesMove) {
   // period).
   EXPECT_GE(grid.refreshCount(), 9u);
   EXPECT_LE(grid.refreshCount(), 42u);
+}
+
+TEST(NeighborIndexTest, GridMatchesScanOnRandomWaypointRadios) {
+  // The paper's pause-0 cell: 100 radios on 2200x600 m at up to 20 m/s.
+  Fixture fx;
+  mobility::RandomWaypoint::Params p;
+  p.field = {2200.0, 600.0};
+  p.maxSpeed = 20.0;
+  p.pause = Time::zero();
+  p.horizon = Time::seconds(60);
+  sim::Rng seeds(2024);
+  std::vector<const mobility::RandomWaypoint*> wps;
+  for (int i = 0; i < 100; ++i) {
+    auto wp = std::make_unique<mobility::RandomWaypoint>(
+        sim::Rng(static_cast<std::uint64_t>(seeds.uniformInt(1, 1'000'000'000))),
+        p);
+    wps.push_back(wp.get());
+    fx.addRadio(static_cast<net::NodeId>(i), std::move(wp));
+  }
+  ScanNeighborIndex scan(fx.sched);
+  GridNeighborIndex grid(fx.sched, 250.0, p.maxSpeed, Time::seconds(1));
+  fx.attachAll(scan);
+  fx.attachAll(grid);
+
+  // Query instants: every leg start and end in the first 40 s (where a
+  // cached piece must advance), refresh-period boundaries and the
+  // nanoseconds around them, and a regular 70 ms beat in between.
+  const Time ns = Time::nanos(1);
+  const Time last = Time::seconds(40);
+  std::vector<Time> times;
+  for (const auto* wp : wps) {
+    for (const auto& leg : wp->legs()) {
+      if (leg.end > last) break;
+      times.push_back(leg.start);
+      times.push_back(leg.end);
+    }
+  }
+  for (int s = 1; s <= 40; ++s) {
+    for (const Time t : {Time::seconds(s) - ns, Time::seconds(s),
+                         Time::seconds(s) + ns}) {
+      times.push_back(t);
+    }
+  }
+  for (Time t = Time::zero(); t <= last; t += Time::millis(70)) {
+    times.push_back(t);
+  }
+  std::sort(times.begin(), times.end());
+  times.erase(std::unique(times.begin(), times.end()), times.end());
+
+  std::size_t visits = 0;
+  for (const Time t : times) {
+    fx.sched.runUntil(t);  // advances sim time
+    ASSERT_EQ(fx.sched.now(), t);
+    // Around every tenth radio, rotating, so each radio is a sender often.
+    for (std::size_t i = static_cast<std::size_t>(t.ns() % 10); i < 100;
+         i += 10) {
+      const Radio* r = fx.radios[i].get();
+      const Vec2 pos = r->mobility().positionAt(t);
+      const auto want = query(scan, pos, 250.0, t, r);
+      ASSERT_EQ(want, query(grid, pos, 250.0, t, r))
+          << "t=" << t.ns() << "ns around node " << r->id();
+      EXPECT_LE(grid.lastExamined(), scan.lastExamined());
+      visits += want.size();
+    }
+    for (const auto& r : fx.radios) {
+      const Vec2 want = r->mobility().positionAt(t);
+      const Vec2 got = grid.positionAt(r->id(), t);
+      ASSERT_EQ(want.x, got.x);
+      ASSERT_EQ(want.y, got.y);
+    }
+  }
+  EXPECT_GT(visits, times.size());  // the queries found receivers
+  EXPECT_GE(grid.refreshCount(), 39u);
+}
+
+/// Moves from `from` to `to` over [0, arrive), then holds `to`.
+class ApproachMobility final : public mobility::MobilityModel {
+ public:
+  ApproachMobility(Vec2 from, Vec2 to, Time arrive)
+      : from_(from), to_(to), arrive_(arrive) {}
+  mobility::Segment segmentAt(Time t) const override {
+    if (t < arrive_) {
+      return {from_, to_, Time::zero(), arrive_, Time::min(), arrive_};
+    }
+    return mobility::Segment::fixed(to_, arrive_, Time::max());
+  }
+
+ private:
+  Vec2 from_;
+  Vec2 to_;
+  Time arrive_;
+};
+
+TEST(NeighborIndexTest, GridKeepsReceiverAtRangeAfterFullPeriodAtSpeedBound) {
+  // Radios close in on a static one for the longest stretch the grid
+  // serves from one bucketing (refresh period minus 1 ns) and stop at
+  // exactly `range`, so their stored positions sit at the edge of the
+  // search radius `range + slack`. A third move at exactly the speed bound.
+  // The rest cover the distance of waypoint legs at the bound whose travel
+  // times were truncated: by 0.9 ns in one leg (18 nm past the edge) or by
+  // 1 ns in each of three legs (60 nm). The query point sits one cell
+  // (270 m) from cell boundaries, so the 60 nm radios' stored positions
+  // land just across a boundary from the unpadded search block.
+  const double kRange = 250.0;
+  const double kSpeed = 20.0;
+  const Time arrive = Time::seconds(1) - Time::nanos(1);
+  Fixture fx;
+  const Vec2 c{1080.0, 1080.0};
+  fx.addRadio(0, std::make_unique<StaticMobility>(c));
+  const Vec2 dirs[] = {{1.0, 0.0}, {-1.0, 0.0}, {0.0, 1.0}, {0.0, -1.0}};
+  net::NodeId id = 1;
+  for (const double truncatedSec : {0.0, 0.9e-9, 3e-9}) {
+    const double travel = kSpeed * (arrive.toSeconds() + truncatedSec);
+    for (const Vec2& d : dirs) {
+      fx.addRadio(id++, std::make_unique<ApproachMobility>(
+                            c + d * (kRange + travel), c + d * kRange,
+                            arrive));
+    }
+  }
+  ScanNeighborIndex scan(fx.sched);
+  GridNeighborIndex grid(fx.sched, kRange, kSpeed, Time::seconds(1));
+  fx.attachAll(scan);
+  fx.attachAll(grid);
+  ASSERT_TRUE(query(grid, c, kRange, Time::zero(), fx.radios[0].get()).empty());
+  fx.sched.runUntil(arrive);
+  const auto got = query(grid, c, kRange, arrive, fx.radios[0].get());
+  EXPECT_EQ(grid.refreshCount(), 0u);  // served from the t = 0 bucketing
+  EXPECT_EQ(got, query(scan, c, kRange, arrive, fx.radios[0].get()));
+  ASSERT_EQ(got.size(), 12u);
+  for (const auto& [rid, d] : got) EXPECT_EQ(d, kRange) << "node " << rid;
 }
 
 TEST(NeighborIndexTest, ExactQueriesAgreeAcrossKinds) {

@@ -18,8 +18,11 @@ class TeleportMobility final : public mobility::MobilityModel {
  public:
   TeleportMobility(Vec2 before, Vec2 after, sim::Time switchAt)
       : before_(before), after_(after), switchAt_(switchAt) {}
-  Vec2 positionAt(sim::Time t) const override {
-    return t < switchAt_ ? before_ : after_;
+  mobility::Segment segmentAt(sim::Time t) const override {
+    if (t < switchAt_) {
+      return mobility::Segment::fixed(before_, sim::Time::min(), switchAt_);
+    }
+    return mobility::Segment::fixed(after_, switchAt_, sim::Time::max());
   }
 
  private:
