@@ -58,9 +58,8 @@ scenario::ExperimentPlan& addMetrics(scenario::ExperimentPlan& plan) {
               1);
 }
 
-/// Run one ablation plan and print its table. Returns the campaign's
-/// exit code (nonzero when cells were quarantined under isolation).
-int runAblation(const scenario::BenchCli& cli, scenario::ExperimentPlan& plan,
+/// Run one ablation plan and print its table.
+void runAblation(const scenario::BenchCli& cli, scenario::ExperimentPlan& plan,
                  const std::string& title, const std::string& csvName) {
   addMetrics(plan);
   cli.applyMatchingFilters(plan);
@@ -70,7 +69,6 @@ int runAblation(const scenario::BenchCli& cli, scenario::ExperimentPlan& plan,
   std::printf("%zu points x %d seeds in %.1f s (%d jobs)\n",
               plan.pointCount(), result.replications, result.wallSeconds,
               result.jobs);
-  return cli.finish(result);
 }
 
 }  // namespace
@@ -82,7 +80,6 @@ int main(int argc, char** argv) {
   std::printf("Ablations — %d nodes, %d flows, %.0f s, %d seeds%s\n",
               base.numNodes, base.numFlows, base.duration.toSeconds(),
               cli.replications(), scale.full ? " (full scale)" : "");
-  int rc = 0;
 
   {  // 1. adaptive alpha
     scenario::ScenarioConfig cfg = base;
@@ -94,7 +91,7 @@ int main(int argc, char** argv) {
           c.dsr.adaptiveAlpha = alpha;
         },
         /*labelPrecision=*/1);
-    rc |= runAblation(cli, plan, "Ablation 1 — adaptive timeout alpha",
+    runAblation(cli, plan, "Ablation 1 — adaptive timeout alpha",
                 "ablation_alpha.csv");
   }
 
@@ -117,7 +114,7 @@ int main(int argc, char** argv) {
     }
     scenario::ExperimentPlan plan("ablation_negcache", cfg);
     plan.axis("negcache", std::move(knobs));
-    rc |= runAblation(cli, plan, "Ablation 2 — negative cache size / Nt",
+    runAblation(cli, plan, "Ablation 2 — negative cache size / Nt",
                 "ablation_negcache.csv");
   }
 
@@ -132,7 +129,7 @@ int main(int argc, char** argv) {
     }
     scenario::ExperimentPlan plan("ablation_capacity", cfg);
     plan.axis("capacity", std::move(caps));
-    rc |= runAblation(cli, plan, "Ablation 3 — route cache capacity (base DSR)",
+    runAblation(cli, plan, "Ablation 3 — route cache capacity (base DSR)",
                 "ablation_capacity.csv");
   }
 
@@ -168,7 +165,7 @@ int main(int argc, char** argv) {
     scenario::ExperimentPlan plan("ablation_structure", base);
     plan.axis("structure", std::move(structures))
         .axis("structure_variant", std::move(variants));
-    rc |= runAblation(cli, plan, "Ablation 4 — cache structure (path vs link)",
+    runAblation(cli, plan, "Ablation 4 — cache structure (path vs link)",
                 "ablation_structure.csv");
   }
 
@@ -185,7 +182,7 @@ int main(int argc, char** argv) {
                                    [](scenario::ScenarioConfig& c) {
                                      c.dsr.freshnessTagging = true;
                                    }}});
-    rc |= runAblation(cli, plan,
+    runAblation(cli, plan,
                 "Ablation 5 — route freshness tagging (future-work extension)",
                 "ablation_freshness.csv");
   }
@@ -205,10 +202,10 @@ int main(int argc, char** argv) {
                              [](scenario::ScenarioConfig& c) {
                                c.dsr.expiryCountsOrigination = true;
                              }}});
-    rc |= runAblation(cli, plan, "Ablation 6 — expiry 'use' semantics at T=1s",
+    runAblation(cli, plan, "Ablation 6 — expiry 'use' semantics at T=1s",
                 "ablation_use_semantics.csv");
   }
 
   cli.checkFiltersConsumed();
-  return rc;
+  return 0;
 }

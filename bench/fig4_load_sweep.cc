@@ -85,5 +85,5 @@ int main(int argc, char** argv) {
   std::printf("%zu points x %d seeds in %.1f s (%d jobs)\n",
               plan.pointCount(), result.replications, result.wallSeconds,
               result.jobs);
-  return cli.finish(result);
+  return 0;
 }

@@ -22,15 +22,8 @@ namespace {
       "  --filter AXIS=VALUE keep one value of a plan axis (repeatable)\n"
       "  --export-dir DIR    write structured exports under DIR\n"
       "  --progress          per-run progress lines on stderr\n"
-      "  --journal FILE      durable per-cell result journal (JSONL)\n"
-      "  --resume            skip cells already in the journal "
-      "(needs --journal)\n"
-      "  --isolate-cells     run each cell in a supervised child process\n"
-      "  --cell-timeout SEC  per-cell wall-clock deadline\n"
-      "  --retries N         extra attempts per failed cell\n"
       "  --help              this text\n"
-      "Output artifacts are byte-identical for every --jobs value, and for\n"
-      "a --resume'd campaign vs an uninterrupted one.\n",
+      "Output artifacts are byte-identical for every --jobs value.\n",
       benchName.c_str());
   std::exit(exitCode);
 }
@@ -65,17 +58,6 @@ int parseInt(std::string_view flag, const char* s,
 BenchCli::BenchCli(int argc, char** argv, std::string benchName)
     : benchName_(std::move(benchName)), scale_(benchScale()) {
   bool seedsSet = false;
-  // selfCommand_ collects argv[0] + plan-shaping flags only; supervision
-  // and journal flags are deliberately dropped so a --run-cell child can
-  // never recurse into spawning grandchildren or touching the journal.
-  selfCommand_.push_back(argc > 0 ? argv[0] : benchName_);
-  for (int i = 0; i < argc; ++i) {
-    if (i > 0) campaignCmd_ += ' ';
-    campaignCmd_ += argv[i];
-  }
-  const auto keepForChild = [&](int first, int last) {
-    for (int k = first; k <= last; ++k) selfCommand_.push_back(argv[k]);
-  };
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -84,74 +66,34 @@ BenchCli::BenchCli(int argc, char** argv, std::string benchName)
       jobs_ = parseInt(arg, flagValue(argc, argv, i, benchName_), benchName_);
       if (jobs_ < 0) die(benchName_, "--jobs must be >= 0");
     } else if (arg == "--scale") {
-      const int first = i;
       const char* tier = flagValue(argc, argv, i, benchName_);
       try {
         scale_ = benchScaleNamed(tier);
       } catch (const std::invalid_argument& e) {
         die(benchName_, e.what());
       }
-      keepForChild(first, i);
     } else if (arg == "--seeds") {
-      const int first = i;
       replications_ =
           parseInt(arg, flagValue(argc, argv, i, benchName_), benchName_);
       if (replications_ < 1) die(benchName_, "--seeds must be >= 1");
       seedsSet = true;
-      keepForChild(first, i);
     } else if (arg == "--filter") {
-      const int first = i;
       const std::string spec = flagValue(argc, argv, i, benchName_);
       const std::size_t eq = spec.find('=');
       if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size()) {
         die(benchName_, "--filter expects AXIS=VALUE, got '" + spec + "'");
       }
       filters_.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
-      keepForChild(first, i);
     } else if (arg == "--export-dir") {
-      const int first = i;
       // The telemetry config and Table's CSV mirror both read
       // MANET_EXPORT_DIR from the environment; setting it here (before the
       // bench builds any ScenarioConfig) routes every artifact at once.
       setenv("MANET_EXPORT_DIR", flagValue(argc, argv, i, benchName_), 1);
-      // Children keep it too: the cell config (and so its journal key) must
-      // be identical in parent and child. Cell mode exits before exporting.
-      keepForChild(first, i);
     } else if (arg == "--progress") {
       progress_ = true;
-    } else if (arg == "--journal") {
-      journalPath_ = flagValue(argc, argv, i, benchName_);
-    } else if (arg == "--resume") {
-      resume_ = true;
-    } else if (arg == "--isolate-cells") {
-      isolateCells_ = true;
-    } else if (arg == "--cell-timeout") {
-      const char* v = flagValue(argc, argv, i, benchName_);
-      char* end = nullptr;
-      cellTimeoutSec_ = std::strtod(v, &end);
-      if (end == v || *end != '\0' || cellTimeoutSec_ < 0) {
-        die(benchName_, "--cell-timeout expects a non-negative number of "
-                        "seconds, got '" +
-                            std::string(v) + "'");
-      }
-    } else if (arg == "--retries") {
-      retries_ =
-          parseInt(arg, flagValue(argc, argv, i, benchName_), benchName_);
-      if (retries_ < 0) die(benchName_, "--retries must be >= 0");
-    } else if (arg == "--run-cell") {
-      // Hidden child protocol: --run-cell LABEL REP OUT.
-      if (i + 3 >= argc) {
-        die(benchName_, "--run-cell expects LABEL REP OUT");
-      }
-      runCellLabel_ = argv[++i];
-      runCellRep_ = parseInt(arg, argv[++i], benchName_);
-      runCellOut_ = argv[++i];
     } else {
       die(benchName_, "unknown flag '" + std::string(arg) + "'");
     }
-  }
-  if (resume_ && journalPath_.empty()) {
-    die(benchName_, "--resume requires --journal FILE");
   }
   if (!seedsSet) replications_ = scale_.replications;
   filterUsed_.assign(filters_.size(), false);
@@ -162,21 +104,7 @@ RunnerOptions BenchCli::runnerOptions() const {
   opts.jobs = jobs_;
   opts.replications = replications_;
   opts.progress = progress_;
-  opts.journalPath = journalPath_;
-  opts.resume = resume_;
-  opts.campaignCmd = campaignCmd_;
-  opts.isolateCells = isolateCells_;
-  opts.selfCommand = selfCommand_;
-  opts.cellTimeoutSec = cellTimeoutSec_;
-  opts.maxAttempts = retries_ + 1;
-  opts.runCellLabel = runCellLabel_;
-  opts.runCellRep = runCellRep_;
-  opts.runCellOut = runCellOut_;
   return opts;
-}
-
-int BenchCli::finish(const SweepResult& result) const {
-  return reportFailures(result);
 }
 
 ExperimentPlan& BenchCli::applyFilters(ExperimentPlan& plan) const {

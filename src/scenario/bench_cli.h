@@ -16,23 +16,6 @@
 //   --progress          per-run progress lines on stderr
 //   --help              usage and exit
 //
-// Durability / supervision flags (DESIGN.md "Experiment durability &
-// supervision"):
-//
-//   --journal FILE      append every finished cell to a durable JSONL
-//                       journal
-//   --resume            skip cells already journaled by a matching build +
-//                       config (requires --journal); exports stay
-//                       byte-identical to an uninterrupted run
-//   --isolate-cells     run each cell in a supervised child process; a
-//                       crashing or hung cell is quarantined, not fatal
-//   --cell-timeout SEC  per-cell wall-clock deadline (SIGKILL under
-//                       --isolate-cells, warning otherwise)
-//   --retries N         extra attempts per failed cell (exponential
-//                       backoff)
-//   --run-cell L R OUT  (internal) child protocol: run one cell, write its
-//                       result JSON to OUT, exit
-//
 // Parse once at the top of main() — before building any ScenarioConfig,
 // because --export-dir works by setting the environment the config reads.
 #pragma once
@@ -63,16 +46,9 @@ class BenchCli {
   /// Requested worker count (0 = resolveJobs default).
   int jobs() const { return jobs_; }
 
-  /// Runner options carrying jobs / replications / --progress plus the
-  /// durability and supervision flags (journal, resume, isolation,
-  /// timeout, retries, self-command). Callers add onRun / runFn / keepRuns
-  /// as needed.
+  /// Runner options carrying jobs / replications / --progress. Callers add
+  /// onRun / runFn / keepRuns as needed.
   RunnerOptions runnerOptions() const;
-
-  /// Exit code for main(): prints the failure digest when cells were
-  /// quarantined and returns 1, else 0. Use as `return cli.finish(result);`
-  /// so campaign failures are visible to CI and shells.
-  int finish(const SweepResult& result) const;
 
   /// Apply every --filter AXIS=VALUE to the plan (hard error on unknown
   /// axis or value). Returns the plan for chaining.
@@ -95,19 +71,6 @@ class BenchCli {
   std::vector<std::pair<std::string, std::string>> filters_;
   /// Tracks which filters applyMatchingFilters has matched so far.
   mutable std::vector<bool> filterUsed_;
-  // Durability / supervision.
-  std::string journalPath_;
-  bool resume_ = false;
-  bool isolateCells_ = false;
-  double cellTimeoutSec_ = 0.0;
-  int retries_ = 0;
-  std::string runCellLabel_;
-  int runCellRep_ = 0;
-  std::string runCellOut_;
-  /// argv[0] + plan-shaping flags only: how a child re-runs this plan.
-  std::vector<std::string> selfCommand_;
-  /// Full original command line, recorded in the journal header.
-  std::string campaignCmd_;
 };
 
 }  // namespace manet::scenario

@@ -48,55 +48,6 @@ struct RunnerOptions {
   /// path. Must be thread-safe across (point, rep) cells.
   std::function<RunResult(const SweepPoint&, int rep,
                           const ScenarioConfig&)> runFn;
-
-  // ---- durability (see DESIGN.md "Experiment durability & supervision") --
-  /// Append-only JSONL journal: every finished cell (done / quarantined /
-  /// failed) is recorded durably before the campaign moves on. Empty =
-  /// no journal.
-  std::string journalPath;
-  /// Load `journalPath` before running and skip every cell whose journaled
-  /// key (config fingerprint + seed + code version) still matches —
-  /// restored cells are bit-identical to re-run ones, so aggregates and
-  /// exports match an uninterrupted campaign byte for byte.
-  bool resume = false;
-  /// Recorded in the journal's campaign header (manet_ctl resume-cmd).
-  std::string campaignCmd;
-
-  // ---- supervision -------------------------------------------------------
-  /// Run every cell in a re-exec'd child process (selfCommand + the hidden
-  /// --run-cell protocol): a crashing, sanitizer-killed or hung cell is
-  /// quarantined instead of taking down the campaign.
-  bool isolateCells = false;
-  /// How this binary re-invokes itself with the same plan: argv[0] plus
-  /// plan-shaping flags only (no supervision/journal flags — children must
-  /// not recurse). Required when isolateCells is set.
-  std::vector<std::string> selfCommand;
-  /// Per-cell wall-clock watchdog. Isolated cells are SIGKILLed on expiry;
-  /// in-process cells only get a stderr warning (threads cannot be killed
-  /// safely). 0 = no deadline.
-  double cellTimeoutSec = 0.0;
-  /// Attempts per cell before giving up (>= 1). Retries back off
-  /// exponentially from retryBackoffSec.
-  int maxAttempts = 1;
-  double retryBackoffSec = 0.5;
-
-  // ---- hidden child mode (set by bench_cli's --run-cell) ----------------
-  /// When runCellOut is non-empty, runPlan executes only the
-  /// (runCellLabel, runCellRep) cell, atomically writes its lossless
-  /// result JSON to runCellOut, and exits the process.
-  std::string runCellLabel;
-  int runCellRep = 0;
-  std::string runCellOut;
-};
-
-/// One cell the supervisor gave up on (isolateCells only). The campaign
-/// still completes; quarantined cells are excluded from aggregates and
-/// marked in the journal and in exported aggregate JSON.
-struct CellOutcome {
-  std::string label;
-  int rep = 0;
-  int attempts = 1;
-  std::string error;
 };
 
 struct PointResult {
@@ -109,12 +60,6 @@ struct SweepResult {
   double wallSeconds = 0.0;         // whole-sweep wall time
   int jobs = 1;                     // resolved worker count actually used
   int replications = 1;
-  /// Cells restored from the journal instead of re-run (--resume).
-  std::size_t resumedCells = 0;
-  /// Cells the supervisor quarantined (task order); empty on a clean run.
-  std::vector<CellOutcome> quarantined;
-
-  bool clean() const { return quarantined.empty(); }
 
   /// The aggregate for the point with the given export label; throws
   /// std::out_of_range when absent.
@@ -125,21 +70,10 @@ struct SweepResult {
 /// MANET_JOBS when set, else std::thread::hardware_concurrency (min 1).
 int resolveJobs(int jobs);
 
-/// Execute the plan. In-process failures are rethrown (first failing task
-/// in deterministic task order) after all workers drain; under
-/// opts.isolateCells a failing cell is quarantined instead and the sweep
-/// completes (check SweepResult::clean() / reportFailures). Fails fast —
-/// before any cell runs — when the export directory or journal is not
-/// writable.
+/// Execute the plan. A failing cell's exception is rethrown (first failing
+/// task in deterministic task order) after all workers drain. Fails fast —
+/// before any cell runs — when an export directory is not writable.
 SweepResult runPlan(const ExperimentPlan& plan, RunnerOptions opts = {});
-
-/// Multi-line human-readable summary of quarantined cells; empty string
-/// when the sweep was clean.
-std::string failureDigest(const SweepResult& result);
-
-/// Print the failure digest (if any) to stderr and return the process exit
-/// code a campaign driver should use: 0 when clean, 1 otherwise.
-int reportFailures(const SweepResult& result);
 
 /// One table row per sweep point: coordinate columns (one per axis) then
 /// the plan's metric columns.

@@ -123,8 +123,7 @@ std::string runResultJson(const scenario::RunResult& r,
 
 std::string aggregateJson(const scenario::AggregateResult& agg,
                           const scenario::ScenarioConfig& cfg,
-                          std::string_view label,
-                          const std::vector<int>* quarantinedReps) {
+                          std::string_view label) {
   std::string out = "{\"label\":\"";
   out += label;
   out += "\",\"config\":{";
@@ -145,16 +144,6 @@ std::string aggregateJson(const scenario::AggregateResult& agg,
   out += "\"}";
   out += ",\"aggregate\":{\"replications\":";
   out += std::to_string(agg.runs.size());
-  // Only emitted for degraded campaigns: a clean run's artifact stays
-  // byte-identical to every aggregate exported before quarantine existed.
-  if (quarantinedReps != nullptr && !quarantinedReps->empty()) {
-    out += ",\"quarantined_reps\":[";
-    for (std::size_t i = 0; i < quarantinedReps->size(); ++i) {
-      if (i > 0) out += ',';
-      out += std::to_string((*quarantinedReps)[i]);
-    }
-    out += ']';
-  }
   kvStats(out, "delivery_fraction", agg.deliveryFraction);
   kvStats(out, "avg_delay_s", agg.avgDelaySec);
   kvStats(out, "normalized_overhead", agg.normalizedOverhead);
@@ -208,14 +197,12 @@ bool writeFile(const std::string& path, std::string_view content) {
 
 int exportAggregate(const scenario::AggregateResult& agg,
                     const scenario::ScenarioConfig& cfg,
-                    std::string_view label,
-                    const std::vector<int>* quarantinedReps) {
+                    std::string_view label) {
   if (cfg.telemetry.exportDir.empty()) return 0;
   const std::string base =
       cfg.telemetry.exportDir + "/" + std::string(label);
   int written = 0;
-  if (writeFile(base + ".json",
-                aggregateJson(agg, cfg, label, quarantinedReps))) {
+  if (writeFile(base + ".json", aggregateJson(agg, cfg, label))) {
     ++written;
   }
   for (std::size_t i = 0; i < agg.runs.size(); ++i) {

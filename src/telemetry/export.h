@@ -8,7 +8,6 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/scenario/experiment.h"
 #include "src/scenario/scenario.h"
@@ -33,15 +32,9 @@ std::string runResultJson(const scenario::RunResult& r,
 /// Per-run entries are volatile-free (no wall_seconds / profile block), so
 /// the artifact is a pure function of the configuration — byte-identical
 /// across hosts, repeat runs, and sweep job counts.
-///
-/// `quarantinedReps` (optional) lists replication indices the supervisor
-/// quarantined; when non-null and non-empty a "quarantined_reps" array is
-/// emitted so a degraded artifact is self-describing. Clean runs emit
-/// exactly the historical byte sequence.
 std::string aggregateJson(const scenario::AggregateResult& agg,
                           const scenario::ScenarioConfig& cfg,
-                          std::string_view label,
-                          const std::vector<int>* quarantinedReps = nullptr);
+                          std::string_view label);
 
 /// Sampled series as CSV (header + one row per probe).
 std::string seriesCsv(const SampleSeries& s);
@@ -57,7 +50,6 @@ bool writeFile(const std::string& path, std::string_view content);
 /// cfg.telemetry.exportDir is empty. Returns the number of files written.
 int exportAggregate(const scenario::AggregateResult& agg,
                     const scenario::ScenarioConfig& cfg,
-                    std::string_view label,
-                    const std::vector<int>* quarantinedReps = nullptr);
+                    std::string_view label);
 
 }  // namespace manet::telemetry

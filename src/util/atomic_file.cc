@@ -79,24 +79,4 @@ bool atomicWriteFile(const std::string& path, std::string_view content) {
   return true;
 }
 
-bool appendLineDurable(const std::string& path, std::string_view line) {
-  ensureParent(path);
-  const int fd =
-      ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) {
-    fail("cannot open for append", path);
-    return false;
-  }
-  std::string buf(line);
-  if (buf.empty() || buf.back() != '\n') buf += '\n';
-  const bool wrote = writeAll(fd, buf.data(), buf.size());
-  const bool synced = wrote && ::fsync(fd) == 0;
-  ::close(fd);
-  if (!wrote || !synced) {
-    fail(wrote ? "cannot fsync" : "cannot append", path);
-    return false;
-  }
-  return true;
-}
-
 }  // namespace manet::util

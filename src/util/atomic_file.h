@@ -1,9 +1,8 @@
 // Crash-safe file writes: write-temp-then-rename, with an fsync before the
 // rename so a power cut or SIGKILL can never leave a torn or truncated
 // artifact under the final name. Every structured export in the repo
-// (aggregate JSON, series/table CSVs, BENCH_*.json, journal cell payloads)
-// goes through this helper; readers therefore only ever see a file that is
-// either absent or complete.
+// (aggregate JSON, series and table CSVs) goes through this helper; readers
+// therefore only ever see a file that is either absent or complete.
 #pragma once
 
 #include <string>
@@ -17,12 +16,5 @@ namespace manet::util {
 /// filesystem). Parent directories are created as needed. Returns false and
 /// logs to stderr on failure; a failed attempt removes its temporary.
 bool atomicWriteFile(const std::string& path, std::string_view content);
-
-/// Append `line` (a newline is added if missing) to `path`, then flush and
-/// fsync, so the line is durable before the call returns. Creates the file
-/// and parent directories on first use. A single append is one write(2)
-/// call, so concurrent appenders (O_APPEND) never interleave bytes.
-/// Returns false and logs to stderr on failure.
-bool appendLineDurable(const std::string& path, std::string_view line);
 
 }  // namespace manet::util

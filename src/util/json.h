@@ -2,7 +2,7 @@
 // arrays, strings, numbers, bools, null), no external dependency.
 //
 // It exists for the documents the repo itself writes — JSONL trace lines
-// and campaign journals — so tooling can read them back. It is a reader for
+// and run exports — so tooling can read them back. It is a reader for
 // our own well-formed output, not a hardened general-purpose parser:
 // \uXXXX escapes are preserved verbatim rather than decoded. The writers'
 // shared string escaper, appendJsonEscaped, lives here too.

@@ -4,8 +4,7 @@
 // it directly is invisible to -Wthread-safety: the analysis would demand
 // GUARDED_BY proofs it can never discharge. These thin wrappers are the
 // repo's sanctioned locking vocabulary — util::Mutex is the CAPABILITY,
-// util::MutexLock the RAII holder the analysis tracks, util::CondVar the
-// condition variable that states its lock requirement in the signature.
+// util::MutexLock the RAII holder the analysis tracks.
 //
 // Locking discipline (enforced by tools/manet_lint):
 //   * every Mutex declaration in src/ names the data it guards via
@@ -17,8 +16,6 @@
 //     exception can leak a held lock.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <mutex>
 
 #include "src/util/thread_annotations.h"
@@ -38,7 +35,6 @@ class CAPABILITY("mutex") Mutex {
   bool tryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -54,36 +50,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Condition variable bound to util::Mutex. The wait side states its lock
-/// requirement so the analysis proves every waiter actually holds the
-/// mutex the predicate reads.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Atomically release `mu`, wait up to `timeout` (or a notify), and
-  /// re-acquire before returning — the std::condition_variable contract,
-  /// expressed against the annotated mutex.
-  template <typename Rep, typename Period>
-  void waitFor(Mutex& mu,
-               const std::chrono::duration<Rep, Period>& timeout)
-      REQUIRES(mu) {
-    // Adopt the already-held native mutex, wait, then hand ownership back
-    // without unlocking: the caller's MutexLock continues to own it.
-    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-    cv_.wait_for(native, timeout);
-    native.release();
-  }
-
-  void notifyOne() { cv_.notify_one(); }
-  void notifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace manet::util

@@ -15,30 +15,12 @@
 // one volatile-free aggregate JSON per point. The companion test diffs the
 // artifacts of a --jobs 1 process against a --jobs 4 process.
 //
-//   replay_runner --sweep <out-base> <jobs> [durability flags]
+//   replay_runner --sweep <out-base> <jobs>
 //
 // Writes <out-base>.<point-label>.json for every sweep point.
-//
-// Durability-test flags (resume_determinism_test):
-//   --journal FILE      journal every cell through runPlan's JSONL journal
-//   --resume            restore journaled cells before running
-//   --kill-after N      raise SIGKILL when the (N+1)th cell would start
-//                       (use with <jobs> = 1 for a deterministic cut)
-//   --isolate           run cells in supervised child processes (re-execs
-//                       this binary with --run-cell)
-//   --crash-cell LABEL  cells of this point call abort() (crash injection)
-//   --hang-cell LABEL   cells of this point sleep forever (hang injection)
-//   --cell-timeout SEC  watchdog deadline for isolated cells
-//   --retries N         extra attempts per failed cell
-//   --run-cell L R OUT  (internal) child protocol
-#include <atomic>
-#include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "src/scenario/runner.h"
 #include "src/scenario/scenario.h"
@@ -47,23 +29,7 @@
 
 namespace {
 
-struct SweepFlags {
-  std::string outBase;
-  int jobs = 1;
-  std::string journal;
-  bool resume = false;
-  long killAfter = -1;
-  bool isolate = false;
-  std::string crashCell;
-  std::string hangCell;
-  double cellTimeout = 0.0;
-  int retries = 0;
-  std::string runCellLabel;
-  int runCellRep = 0;
-  std::string runCellOut;
-};
-
-int runSweep(const char* self, const SweepFlags& f) {
+int runSweep(const std::string& outBase, int jobs) {
   using namespace manet;
   scenario::ScenarioConfig base;
   base.numNodes = 20;
@@ -82,117 +48,33 @@ int runSweep(const char* self, const SweepFlags& f) {
       /*labelPrecision=*/0);
 
   scenario::RunnerOptions opts;
-  opts.jobs = f.jobs;
+  opts.jobs = jobs;
   opts.replications = 2;
   opts.keepRuns = true;  // aggregateJson embeds the per-run entries
-  opts.journalPath = f.journal;
-  opts.resume = f.resume;
-  opts.isolateCells = f.isolate;
-  opts.cellTimeoutSec = f.cellTimeout;
-  opts.maxAttempts = f.retries + 1;
-  opts.runCellLabel = f.runCellLabel;
-  opts.runCellRep = f.runCellRep;
-  opts.runCellOut = f.runCellOut;
-  if (f.isolate) {
-    // Children rebuild the same plan and inherit the failure injection, so
-    // a crash/hang scripted for a cell happens inside the child process.
-    opts.selfCommand = {self, "--sweep", f.outBase, "1"};
-    if (!f.crashCell.empty()) {
-      opts.selfCommand.push_back("--crash-cell");
-      opts.selfCommand.push_back(f.crashCell);
-    }
-    if (!f.hangCell.empty()) {
-      opts.selfCommand.push_back("--hang-cell");
-      opts.selfCommand.push_back(f.hangCell);
-    }
-  }
-
-  // Cell counter for --kill-after: SIGKILL (uncatchable, like a real OOM
-  // kill or power cut) as the (N+1)th cell begins, so exactly N cells made
-  // it into the journal.
-  static std::atomic<long> cellsStarted{0};
-  const long killAfter = f.killAfter;
-  const std::string crashCell = f.crashCell;
-  const std::string hangCell = f.hangCell;
-  opts.runFn = [killAfter, crashCell, hangCell](
-                   const scenario::SweepPoint& point, int rep,
-                   const scenario::ScenarioConfig& cfg) {
-    (void)rep;
-    if (killAfter >= 0 &&
-        cellsStarted.fetch_add(1, std::memory_order_relaxed) >= killAfter) {
-      std::raise(SIGKILL);
-    }
-    if (point.label == crashCell) std::abort();
-    if (point.label == hangCell) {
-      for (;;) std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    return scenario::runScenario(cfg);
-  };
 
   const scenario::SweepResult result = scenario::runPlan(plan, opts);
 
   for (const scenario::PointResult& p : result.points) {
     const std::string json =
         telemetry::aggregateJson(p.agg, p.point.config, p.point.label) + "\n";
-    if (!telemetry::writeFile(f.outBase + "." + p.point.label + ".json",
+    if (!telemetry::writeFile(outBase + "." + p.point.label + ".json",
                               json)) {
       return 1;
     }
   }
-  return scenario::reportFailures(result);
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc >= 2 && std::string(argv[1]) == "--sweep") {
-    if (argc < 4) {
-      std::fprintf(stderr,
-                   "usage: replay_runner --sweep <out-base> <jobs> [flags]\n");
+    if (argc != 4) {
+      std::fprintf(stderr, "usage: replay_runner --sweep <out-base> <jobs>\n");
       return 2;
     }
-    SweepFlags f;
-    f.outBase = argv[2];
-    f.jobs = static_cast<int>(std::strtol(argv[3], nullptr, 10));
-    for (int i = 4; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto value = [&]() -> const char* {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-          std::exit(2);
-        }
-        return argv[++i];
-      };
-      if (arg == "--journal") {
-        f.journal = value();
-      } else if (arg == "--resume") {
-        f.resume = true;
-      } else if (arg == "--kill-after") {
-        f.killAfter = std::strtol(value(), nullptr, 10);
-      } else if (arg == "--isolate") {
-        f.isolate = true;
-      } else if (arg == "--crash-cell") {
-        f.crashCell = value();
-      } else if (arg == "--hang-cell") {
-        f.hangCell = value();
-      } else if (arg == "--cell-timeout") {
-        f.cellTimeout = std::strtod(value(), nullptr);
-      } else if (arg == "--retries") {
-        f.retries = static_cast<int>(std::strtol(value(), nullptr, 10));
-      } else if (arg == "--run-cell") {
-        if (i + 3 >= argc) {
-          std::fprintf(stderr, "--run-cell expects LABEL REP OUT\n");
-          return 2;
-        }
-        f.runCellLabel = argv[++i];
-        f.runCellRep = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-        f.runCellOut = argv[++i];
-      } else {
-        std::fprintf(stderr, "unknown sweep flag '%s'\n", arg.c_str());
-        return 2;
-      }
-    }
-    return runSweep(argv[0], f);
+    return runSweep(argv[2],
+                    static_cast<int>(std::strtol(argv[3], nullptr, 10)));
   }
   if (argc < 2) {
     std::fprintf(stderr, "usage: replay_runner <out-base> [mobilitySeed]\n");

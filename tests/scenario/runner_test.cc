@@ -328,81 +328,6 @@ TEST(RunnerTest, RunReplicatedExportsUnderItsLabel) {
   fs::remove_all(dir);
 }
 
-TEST(RunnerTest, ResumeSkipsJournaledCellsAndMatchesUninterruptedRun) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / "runner_resume_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string journal = (dir / "journal.jsonl").string();
-
-  const ExperimentPlan plan = tinyPausePlan(tinyConfig());
-  std::atomic<int> cellsRun{0};
-  RunnerOptions opts;
-  opts.replications = 2;
-  opts.keepRuns = true;
-  opts.journalPath = journal;
-  opts.runFn = [&cellsRun](const SweepPoint& point, int rep,
-                           const ScenarioConfig&) {
-    ++cellsRun;
-    (void)rep;
-    return fakeRun(point.index, rep);
-  };
-
-  const SweepResult first = runPlan(plan, opts);
-  EXPECT_EQ(cellsRun.load(), 4);  // 2 points x 2 reps
-  EXPECT_EQ(first.resumedCells, 0u);
-
-  // Second campaign with --resume: every cell is restored from the journal,
-  // the runFn is never called, and the aggregates are byte-identical.
-  cellsRun = 0;
-  opts.resume = true;
-  const SweepResult second = runPlan(plan, opts);
-  EXPECT_EQ(cellsRun.load(), 0);
-  EXPECT_EQ(second.resumedCells, 4u);
-  ASSERT_EQ(first.points.size(), second.points.size());
-  for (std::size_t p = 0; p < first.points.size(); ++p) {
-    EXPECT_EQ(telemetry::aggregateJson(first.points[p].agg,
-                                       first.points[p].point.config,
-                                       first.points[p].point.label),
-              telemetry::aggregateJson(second.points[p].agg,
-                                       second.points[p].point.config,
-                                       second.points[p].point.label));
-  }
-  fs::remove_all(dir);
-}
-
-TEST(RunnerTest, ResumeReRunsCellsWhoseSeedChanged) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / "runner_resume_key_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-
-  ExperimentPlan plan = tinyPausePlan(tinyConfig());
-  std::atomic<int> cellsRun{0};
-  RunnerOptions opts;
-  opts.replications = 1;
-  opts.journalPath = (dir / "journal.jsonl").string();
-  opts.runFn = [&cellsRun](const SweepPoint& point, int rep,
-                           const ScenarioConfig&) {
-    ++cellsRun;
-    return fakeRun(point.index, rep);
-  };
-  (void)runPlan(plan, opts);
-  EXPECT_EQ(cellsRun.load(), 2);
-
-  // Same labels, different base seed: the journaled keys no longer match,
-  // so a resume must re-run everything rather than trust stale results.
-  ScenarioConfig reseeded = tinyConfig();
-  reseeded.mobilitySeed += 1000;
-  const ExperimentPlan plan2 = tinyPausePlan(reseeded);
-  cellsRun = 0;
-  opts.resume = true;
-  const SweepResult res = runPlan(plan2, opts);
-  EXPECT_EQ(cellsRun.load(), 2);
-  EXPECT_EQ(res.resumedCells, 0u);
-  fs::remove_all(dir);
-}
-
 TEST(RunnerTest, FailsFastOnUnwritableExportDirBeforeRunningCells) {
   const fs::path dir =
       fs::path(::testing::TempDir()) / "runner_failfast_test";
@@ -425,61 +350,6 @@ TEST(RunnerTest, FailsFastOnUnwritableExportDirBeforeRunningCells) {
   EXPECT_THROW(runPlan(plan, opts), std::invalid_argument);
   EXPECT_EQ(cellsRun.load(), 0);
   fs::remove_all(dir);
-}
-
-TEST(RunnerTest, RetryRecoversFromTransientFailure) {
-  const ExperimentPlan plan = tinyPausePlan(tinyConfig());
-  std::atomic<int> attempts{0};
-  RunnerOptions opts;
-  opts.jobs = 1;
-  opts.maxAttempts = 2;
-  opts.retryBackoffSec = 0.0;  // no need to sleep in a unit test
-  opts.runFn = [&attempts](const SweepPoint& point, int rep,
-                           const ScenarioConfig&) {
-    // First attempt of the very first cell fails; the retry succeeds.
-    if (attempts.fetch_add(1) == 0) {
-      throw std::runtime_error("transient");
-    }
-    return fakeRun(point.index, rep);
-  };
-  const SweepResult res = runPlan(plan, opts);
-  EXPECT_TRUE(res.clean());
-  EXPECT_EQ(attempts.load(), 3);  // 2 cells + 1 retry
-  EXPECT_EQ(res.points.size(), 2u);
-}
-
-TEST(RunnerTest, InvalidDurabilityOptionCombinationsThrow) {
-  const ExperimentPlan plan = tinyPausePlan(tinyConfig());
-  RunnerOptions opts;
-  opts.runFn = [](const SweepPoint& point, int rep, const ScenarioConfig&) {
-    return fakeRun(point.index, rep);
-  };
-  opts.resume = true;  // --resume without --journal
-  EXPECT_THROW(runPlan(plan, opts), std::invalid_argument);
-  opts.resume = false;
-  opts.isolateCells = true;  // isolation without a self command
-  EXPECT_THROW(runPlan(plan, opts), std::invalid_argument);
-  opts.isolateCells = false;
-  opts.maxAttempts = 0;
-  EXPECT_THROW(runPlan(plan, opts), std::invalid_argument);
-}
-
-TEST(RunnerTest, FailureDigestAndExitCodeReportQuarantinedCells) {
-  SweepResult clean;
-  EXPECT_TRUE(failureDigest(clean).empty());
-  EXPECT_EQ(reportFailures(clean), 0);
-
-  SweepResult bad;
-  CellOutcome c;
-  c.label = "tiny_pause_s=0";
-  c.rep = 1;
-  c.attempts = 3;
-  c.error = "signal 9 (Killed)";
-  bad.quarantined.push_back(c);
-  const std::string digest = failureDigest(bad);
-  EXPECT_NE(digest.find("tiny_pause_s=0"), std::string::npos);
-  EXPECT_NE(digest.find("signal 9"), std::string::npos);
-  EXPECT_EQ(reportFailures(bad), 1);
 }
 
 }  // namespace

@@ -64,22 +64,5 @@ TEST(AtomicFileTest, FailsOnUnwritableTarget) {
   fs::remove_all(dir);
 }
 
-TEST(AtomicFileTest, AppendAddsNewlineTerminatedLines) {
-  const fs::path dir = tmpDir("manet_atomic_append");
-  const std::string path = (dir / "journal.jsonl").string();
-  ASSERT_TRUE(appendLineDurable(path, "{\"a\":1}"));
-  ASSERT_TRUE(appendLineDurable(path, "{\"b\":2}\n"));  // newline not doubled
-  EXPECT_EQ(slurp(path), "{\"a\":1}\n{\"b\":2}\n");
-  fs::remove_all(dir);
-}
-
-TEST(AtomicFileTest, AppendCreatesFileOnFirstUse) {
-  const fs::path dir = tmpDir("manet_atomic_append_create");
-  const std::string path = (dir / "sub" / "j.jsonl").string();
-  ASSERT_TRUE(appendLineDurable(path, "first"));
-  EXPECT_EQ(slurp(path), "first\n");
-  fs::remove_all(dir);
-}
-
 }  // namespace
 }  // namespace manet::util

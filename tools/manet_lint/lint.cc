@@ -91,17 +91,15 @@ const std::vector<RuleInfo> kRules = {
      "construction block; a true root origination (new application data) "
      "carries an allow naming it as such."},
     {"subprocess",
-     "process spawning (fork/exec/posix_spawn/system/popen) in src/ outside "
-     "the supervisor",
+     "process spawning (fork/exec/posix_spawn/system/popen) in src/",
      "Library code creating processes is invisible to the determinism "
      "contract: a child inherits no scheduler, can deadlock a fork()ed "
-     "multithreaded parent, and its exit status rarely reaches the campaign "
-     "report. Supervised cell isolation (src/scenario/supervisor.cc) is the "
-     "single sanctioned spawn point and carries per-line allows; tools/, "
-     "tests/ and bench/ drive binaries freely.",
-     "Route the spawn through runChildProcess in src/scenario/supervisor.cc "
-     "(the sanctioned, watchdogged spawn point), or move the code into "
-     "tools//tests//bench/ where spawning is free."},
+     "multithreaded parent, and its exit status rarely reaches the caller. "
+     "src/ has no spawn point: a failing sweep cell rethrows in task order "
+     "instead of being isolated in a child. tools/, tests/ and bench/ drive "
+     "binaries freely.",
+     "Move the spawn into tools/, tests/ or bench/, where driving binaries "
+     "is free; library code returns data to its caller instead."},
     {"lock-discipline",
      "mutex declared in src/ without a GUARDED_BY-annotated data set",
      "A mutex that guards nothing the compiler can see is a data race "
@@ -678,10 +676,10 @@ void checkCausalIds(const std::string& code,
 /// lock-discipline: a mutex declared in src/ must guard something the
 /// compiler can see — at least one member annotated GUARDED_BY(<name>) /
 /// PT_GUARDED_BY(<name>) in the same file or the paired header — or carry
-/// an allow naming the external resource (stderr stream, filesystem,
-/// journal fd) it serializes. Matches both the annotated util::Mutex
-/// wrapper and raw std:: mutex types, so an unannotated std::mutex that
-/// sneaks past the conversion is flagged too.
+/// an allow naming the external resource (stderr stream, filesystem) it
+/// serializes. Matches both the annotated util::Mutex wrapper and raw std::
+/// mutex types, so an unannotated std::mutex that sneaks past the
+/// conversion is flagged too.
 void checkLockDiscipline(const std::string& code,
                          const std::string& headerCode,
                          const std::map<int, Allow>& allows,
@@ -913,18 +911,18 @@ const Fixture kFixtures[] = {
      "int f(char** a) { pid_t p; "
      "return posix_spawnp(&p, a[0], nullptr, nullptr, a, nullptr); }\n",
      "subprocess"},
-    {"subprocess allowlisted in supervisor", "src/scenario/ok_spawn.cc",
+    {"subprocess allowlisted with a reason", "src/scenario/ok_spawn.cc",
      "#include <spawn.h>\n"
      "int f(char** a) {\n"
      "  pid_t p;\n"
-     "  // manet-lint: allow(subprocess): supervised cell isolation\n"
+     "  // manet-lint: allow(subprocess): audited one-off spawn\n"
      "  return posix_spawnp(&p, a[0], nullptr, nullptr, a, nullptr);\n"
      "}\n",
      nullptr},
     {"subprocess fine in tests", "tests/integration/ok_sys.cc",
      "#include <cstdlib>\nint f() { return std::system(\"./bin\"); }\n",
      nullptr},
-    {"subprocess fine in tools", "tools/manet_ctl/ok_sys.cc",
+    {"subprocess fine in tools", "tools/manet_trace/ok_sys.cc",
      "#include <cstdlib>\nint f() { return std::system(\"./bin\"); }\n",
      nullptr},
     {"lock-discipline hit", "src/core/bad_mutex.cc",
@@ -1150,9 +1148,8 @@ std::vector<Finding> lintSource(const std::string& relPath,
         {"subprocess",
          std::regex(R"(\b(fork|vfork|execve?|execvp?e?|execlp?e?|)"
                     R"(posix_spawnp?|popen)\s*\(|\bsystem\s*\()"),
-         "process creation in library code; route it through the supervised "
-         "cell-isolation layer (src/scenario/supervisor.cc) or move it to "
-         "tools//tests//bench/"});
+         "process creation in library code; move it to tools/, tests/ or "
+         "bench/"});
   }
   applyLineRules(lineRules, codeLines, allows, relPath, &out);
 
