@@ -339,33 +339,6 @@ void BM_TracerRingEmit(benchmark::State& state) {
 }
 BENCHMARK(BM_TracerRingEmit);
 
-// The guard a prof::Scope pays when profiling is off: a null/bool check,
-// no clock read. This is what every tagged handler costs in normal runs.
-void BM_ProfScopeDisabled(benchmark::State& state) {
-  prof::Profiler prof(prof::ProfConfig{});  // enabled = false
-  prof::Profiler* hook = &prof;
-  benchmark::DoNotOptimize(hook);
-  for (auto _ : state) {
-    prof::Scope scope(hook, prof::Category::kMac);
-    benchmark::DoNotOptimize(&scope);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProfScopeDisabled);
-
-// Full cost of one enabled scope: two clock reads plus a histogram record.
-void BM_ProfScopeEnabled(benchmark::State& state) {
-  prof::ProfConfig cfg;
-  cfg.enabled = true;
-  prof::Profiler prof(cfg);
-  for (auto _ : state) {
-    prof::Scope scope(&prof, prof::Category::kMac);
-    benchmark::DoNotOptimize(&scope);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProfScopeEnabled);
-
 void BM_ProfHistogramRecord(benchmark::State& state) {
   prof::LatencyHistogram hist;
   std::uint64_t i = 0;
@@ -379,8 +352,12 @@ BENCHMARK(BM_ProfHistogramRecord);
 
 // Scheduler dispatch with a profiler installed and collecting — compare
 // against BM_SchedulerScheduleRun for the per-event profiling overhead.
+// Arg 0 gives every event one category (a single category run, the
+// common same-category burst); arg 1 alternates two categories, so every
+// dispatch closes a run and reads the clock, the profiler's worst case.
 void BM_SchedulerDispatchProfiled(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
+  const int n = 100000;
+  const bool alternate = state.range(0) != 0;
   prof::ProfConfig cfg;
   cfg.enabled = true;
   for (auto _ : state) {
@@ -390,14 +367,15 @@ void BM_SchedulerDispatchProfiled(benchmark::State& state) {
     std::uint64_t sum = 0;
     for (int i = 0; i < n; ++i) {
       sched.scheduleAt(sim::Time::micros(i), [&sum] { ++sum; },
-                       prof::Category::kMac);
+                       alternate && i % 2 == 1 ? prof::Category::kPhy
+                                               : prof::Category::kMac);
     }
     sched.run();
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_SchedulerDispatchProfiled)->Arg(100000);
+BENCHMARK(BM_SchedulerDispatchProfiled)->ArgName("alternate")->Arg(0)->Arg(1);
 
 // --- Engine-core hot-path machinery (PR 10) -------------------------------
 

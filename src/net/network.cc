@@ -15,7 +15,7 @@ Network::Network(const NetworkConfig& cfg, std::uint64_t seed)
 Network::~Network() = default;
 
 void Network::enableProfiling(const prof::ProfConfig& cfg) {
-  if (!cfg.installed()) return;
+  if (!cfg.enabled) return;
   profiler_ = std::make_unique<prof::Profiler>(cfg);
   sched_.setProfiler(profiler_.get());
 }

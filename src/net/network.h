@@ -52,10 +52,10 @@ class Network {
   /// full run. With no sinks attached, tracing costs one branch per hook.
   telemetry::Tracer& tracer() { return tracer_; }
 
-  /// Construct and attach the self-profiler when `cfg.installed()`; call
+  /// Construct and attach the self-profiler when `cfg.enabled`; call
   /// before the run starts. Profiling reads only the wall clock — never
   /// sim time or sim RNG — so enabling it cannot change a run's results.
-  /// A non-installed config is a no-op.
+  /// A disabled config is a no-op.
   void enableProfiling(const prof::ProfConfig& cfg);
   /// The installed profiler, or nullptr (subsystems use the scheduler's
   /// accessor on the hot path; this one is for reports).

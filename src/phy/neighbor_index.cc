@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "src/phy/radio.h"
-#include "src/prof/profiler.h"
 
 namespace manet::phy {
 
@@ -35,8 +34,6 @@ void NeighborIndex::forEachRadio(const std::function<void(Radio&)>& fn) const {
 
 Vec2 NeighborIndex::positionAt(net::NodeId id, sim::Time t) const {
   const std::uint32_t slot = slotById_.at(id);
-  // Trajectory evaluation is mobility work wherever it runs.
-  prof::Scope profScope(sched_.profiler(), prof::Category::kMobility);
   return slotPosition(slot, t);
 }
 
@@ -55,7 +52,7 @@ void ScanNeighborIndex::forEachInRange(const Vec2& pos, double range,
   for (Radio* r : radios_) {
     if (r == exclude) continue;
     ++examined;
-    const double d = distance(pos, r->positionQuiet());
+    const double d = distance(pos, r->position());
     if (d > range) continue;
     fn(*r, d);
   }

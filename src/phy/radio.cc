@@ -13,7 +13,7 @@ Radio::Radio(net::NodeId id, const mobility::MobilityModel& mobility,
   channel_.attach(this);
 }
 
-Vec2 Radio::positionQuiet() const {
+Vec2 Radio::position() const {
   return mobility_.positionAt(sched_.now());
 }
 
@@ -51,7 +51,6 @@ sim::Time Radio::airtime(std::uint32_t bytes) const {
 
 void Radio::rxStart(std::uint64_t txId, double senderDistance) {
   if (!up_) return;  // crashed: deaf
-  prof::Scope profScope(sched_.profiler(), prof::Category::kPhy);
   // Receiving while transmitting always fails (half duplex).
   if (transmitting()) {
     ongoing_.push_back(OngoingRx{txId, true, senderDistance});
@@ -79,7 +78,6 @@ void Radio::rxStart(std::uint64_t txId, double senderDistance) {
 }
 
 void Radio::rxEnd(std::uint64_t txId, const mac::Frame& f) {
-  prof::Scope profScope(sched_.profiler(), prof::Category::kPhy);
   auto it = std::find_if(ongoing_.begin(), ongoing_.end(),
                          [txId](const OngoingRx& rx) {
                            return rx.txId == txId;

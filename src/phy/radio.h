@@ -27,11 +27,9 @@ class Radio {
 
   net::NodeId id() const { return id_; }
   /// Position at the scheduler's current time, evaluated from the
-  /// trajectory with no profiler scope. ScanNeighborIndex calls it for
-  /// every radio on every query, where a scope per call (two clock reads)
-  /// would dominate the loop; the time stays with the querying event's
-  /// category. Channel reads positions through its NeighborIndex instead.
-  Vec2 positionQuiet() const;
+  /// trajectory. ScanNeighborIndex calls it for every radio on every query;
+  /// Channel reads positions through its NeighborIndex instead.
+  Vec2 position() const;
   /// The trajectory this radio rides on (NeighborIndex caches its pieces
   /// and evaluates it for arbitrary-time oracle queries).
   const mobility::MobilityModel& mobility() const { return mobility_; }

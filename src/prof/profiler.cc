@@ -9,10 +9,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "src/util/logging.h"
-#include "src/util/mutex.h"
-#include "src/util/thread_annotations.h"
-
 namespace manet::prof {
 
 const char* toString(Category c) {
@@ -45,16 +41,6 @@ ProfConfig ProfConfig::fromEnv(ProfConfig base) {
   }
   if (const char* v = std::getenv("MANET_PROF_HIST"); v != nullptr) {  // NOLINT(concurrency-mt-unsafe)
     base.histograms = v[0] != '0';
-  }
-  if (const char* v = std::getenv("MANET_PROF_HEARTBEAT");  // NOLINT(concurrency-mt-unsafe)
-      v != nullptr && v[0] != '\0') {
-    char* end = nullptr;
-    const double secs = std::strtod(v, &end);
-    // Finite, non-negative and small enough that the constructor's
-    // nanosecond period fits a uint64 (NaN fails every comparison).
-    if (end != v && secs >= 0.0 && secs * 1e9 < 0x1p64) {
-      base.heartbeatSec = secs;
-    }
   }
   return base;
 }
@@ -130,7 +116,7 @@ namespace detail {
 
 // Audited: src/prof/ is exempt from the manet_lint wall-clock rule by
 // design — this is the single funnel for host-time reads, and the values
-// only ever flow into reports (self-time, heartbeat ETA), never back into
+// only ever flow into reports (self-time, dispatch spans), never back into
 // scheduling, RNG draws, or any simulation decision.
 std::uint64_t steadyNowNs() {
   return static_cast<std::uint64_t>(
@@ -163,46 +149,19 @@ double tscNsPerTick() {
 
 }  // namespace detail
 
-Profiler::Profiler(ProfConfig cfg, ClockFn clock) : cfg_(cfg), clock_(clock) {
-  if (cfg_.heartbeatSec > 0.0) {
-    heartbeatPeriodNs_ = static_cast<std::uint64_t>(cfg_.heartbeatSec * 1e9);
-    startWallNs_ = clockNs();
-    lastBeatWallNs_ = startWallNs_;
-  }
+void Profiler::switchRun(Category c) {
+  const std::uint64_t now = clockNs();
+  charge(now);
+  runCat_ = static_cast<std::uint8_t>(c);
+  runStartNs_ = now;
 }
 
-void Profiler::heartbeatSlow(std::int64_t simNowNs, std::int64_t simUntilNs,
-                             std::uint64_t executed) {
-  const std::uint64_t wall = clockNs();
-  if (wall - lastBeatWallNs_ < heartbeatPeriodNs_) return;
-  const double wallDelta = static_cast<double>(wall - lastBeatWallNs_) / 1e9;
-  const double simDelta =
-      static_cast<double>(simNowNs - lastBeatSimNs_) / 1e9;
-  const double evRate =
-      static_cast<double>(executed - lastBeatEvents_) / wallDelta;
-  const double simRate = simDelta / wallDelta;  // sim seconds per wall second
-  char eta[48];
-  // Time::max() marks an unbounded run; no ETA then.
-  if (simUntilNs > simNowNs && simRate > 0.0 &&
-      simUntilNs != std::numeric_limits<std::int64_t>::max()) {
-    std::snprintf(eta, sizeof(eta), " | eta %.1fs",
-                  static_cast<double>(simUntilNs - simNowNs) / 1e9 / simRate);
-  } else {
-    eta[0] = '\0';
-  }
-  {
-    // Parallel sweep runs heartbeat concurrently; never interleave lines.
-    const util::MutexLock lock(util::stderrMutex());
-    std::fprintf(stderr,
-                 "[prof] sim t=%.1fs | %.2fM ev/s | sim rate %.2fx | "
-                 "%" PRIu64 " events | wall %.1fs%s\n",
-                 static_cast<double>(simNowNs) / 1e9, evRate / 1e6, simRate,
-                 executed,
-                 static_cast<double>(wall - startWallNs_) / 1e9, eta);
-  }
-  lastBeatWallNs_ = wall;
-  lastBeatSimNs_ = simNowNs;
-  lastBeatEvents_ = executed;
+void Profiler::charge(std::uint64_t nowNs) {
+  if (runCat_ == kNoRun) return;
+  CategoryStats& s = stats_[runCat_];
+  const std::uint64_t ns = nowNs - runStartNs_;
+  s.selfNs += ns;
+  if (cfg_.histograms) s.latency.record(ns);
 }
 
 Report Profiler::report() const {
@@ -213,7 +172,6 @@ Report Profiler::report() const {
     CategoryReport& c = r.categories[i];
     c.category = static_cast<Category>(i);
     c.dispatches = s.dispatches;
-    c.scopes = s.scopes;
     c.selfNs = s.selfNs;
     c.maxNs = s.latency.maxNs();
     if (cfg_.histograms && s.latency.count() > 0) {
@@ -268,13 +226,13 @@ std::string toJson(const Report& r) {
   out += ",\"categories\":{";
   bool first = true;
   for (const CategoryReport& c : r.categories) {
-    if (c.dispatches == 0 && c.scopes == 0) continue;
+    if (c.dispatches == 0) continue;
     std::snprintf(buf, sizeof(buf),
-                  "%s\"%s\":{\"dispatches\":%" PRIu64 ",\"scopes\":%" PRIu64
-                  ",\"self_ns\":%" PRIu64 ",\"max_ns\":%" PRIu64
+                  "%s\"%s\":{\"dispatches\":%" PRIu64 ",\"self_ns\":%" PRIu64
+                  ",\"max_ns\":%" PRIu64
                   ",\"p50_ns\":%.9g,\"p90_ns\":%.9g,\"p99_ns\":%.9g}",
                   first ? "" : ",", toString(c.category), c.dispatches,
-                  c.scopes, c.selfNs, c.maxNs, c.p50Ns, c.p90Ns, c.p99Ns);
+                  c.selfNs, c.maxNs, c.p50Ns, c.p90Ns, c.p99Ns);
     out += buf;
     first = false;
   }

@@ -2,16 +2,19 @@
 //
 // The scheduler attributes wall-clock time and dispatch counts to event
 // categories (PHY, MAC, routing, mobility, traffic, transport, fault,
-// telemetry); subsystems refine the attribution with nested prof::Scope
-// guards (e.g. DSR work performed inside a MAC reception event is charged
-// to routing, not MAC — scopes track *self* time, excluding children).
-// Per-category latency histograms, cache occupancy peaks and peak RSS
-// round out the picture, and an optional wall-clock heartbeat reports
-// progress (events/sec, sim rate, ETA) on stderr during long sweeps.
+// telemetry). Each category is charged the wall time of its runs of
+// consecutive dispatches, scheduler overhead included, so work a handler
+// does for another layer (DSR processing inside a MAC or PHY reception)
+// stays with the handler's category. Per-run latency histograms, cache
+// occupancy peaks and peak RSS round out the picture.
 //
 // Design constraints:
-//  * Branch-cheap when off: every hook is a null-pointer / bool check; a
-//    disabled profiler performs no clock reads and no allocations.
+//  * Cheap when on: the clock is read only when the dispatched category
+//    changes, not around every event, so the split describes the
+//    unprofiled run rather than the profiler's own cost.
+//  * Branch-cheap when off: an unprofiled scheduler pays one null-pointer
+//    check per dispatch; a disabled profiler performs no clock reads and
+//    no allocations.
 //  * Zero allocations when on: all state is fixed-size arrays, so the
 //    record path never touches the heap (asserted by tests).
 //  * Deterministic: the profiler only ever *reads* the wall clock; it never
@@ -27,14 +30,13 @@
 
 namespace manet::prof {
 
-/// What kind of work an event or scope performs. Scheduler events carry
-/// their category from the scheduling site; scopes refine attribution
-/// within a handler.
+/// What kind of work an event performs. Scheduler events carry their
+/// category from the scheduling site.
 enum class Category : std::uint8_t {
   kPhy,        // channel propagation, reception start/end
   kMac,        // 802.11 DCF: backoff, timeouts, SIFS responses
-  kRouting,    // DSR / AODV protocol processing
-  kMobility,   // position queries (random-waypoint evaluation)
+  kRouting,    // DSR / AODV protocol timers
+  kMobility,   // no event is scheduled under it; perfbench reports it
   kTraffic,    // CBR source ticks
   kTransport,  // reliable-transport timers
   kFault,      // fault-injection events
@@ -54,17 +56,11 @@ inline constexpr std::size_t kNumGauges = 3;
 const char* toString(Gauge g);
 
 /// Profiling knobs. Environment overrides (read by fromEnv):
-///   MANET_PROF=1              enable per-category stats collection
-///   MANET_PROF_HIST=0         drop latency histograms (keep counts/time)
-///   MANET_PROF_HEARTBEAT=<s>  progress heartbeat every <s> wall seconds
+///   MANET_PROF=1       enable per-category stats collection
+///   MANET_PROF_HIST=0  drop latency histograms (keep counts/time)
 struct ProfConfig {
   bool enabled = false;
   bool histograms = true;
-  double heartbeatSec = 0.0;
-
-  /// True when a Profiler should be constructed at all (stats collection
-  /// or heartbeat; the heartbeat works without full stats).
-  bool installed() const { return enabled || heartbeatSec > 0.0; }
 
   static ProfConfig fromEnv(ProfConfig base);
   static ProfConfig fromEnv() { return fromEnv(ProfConfig{}); }
@@ -109,10 +105,9 @@ class LatencyHistogram {
 /// Point-in-time summary of one category.
 struct CategoryReport {
   Category category = Category::kOther;
-  std::uint64_t dispatches = 0;    // scheduler events charged here
-  std::uint64_t scopes = 0;        // scope activations (incl. dispatches)
-  std::uint64_t selfNs = 0;        // exclusive wall time
-  std::uint64_t maxNs = 0;         // slowest single activation (self time)
+  std::uint64_t dispatches = 0;    // scheduler events of this category
+  std::uint64_t selfNs = 0;        // wall time of this category's runs
+  std::uint64_t maxNs = 0;         // longest single run
   double p50Ns = 0.0;
   double p90Ns = 0.0;
   double p99Ns = 0.0;
@@ -136,8 +131,6 @@ std::string toJson(const Report& r);
 /// Returns 0 when unavailable.
 std::uint64_t readPeakRssBytes();
 
-class Scope;
-
 namespace detail {
 /// vdso CLOCK_MONOTONIC read (fallback, and the calibration reference).
 std::uint64_t steadyNowNs();
@@ -145,12 +138,11 @@ std::uint64_t steadyNowNs();
 double tscNsPerTick();
 }  // namespace detail
 
-/// The profiler's default wall-clock read, inlined at every scope site.
+/// The profiler's default wall-clock read, inlined at every read site.
 /// On x86-64 this is a raw rdtsc (the invariant counter vdso
 /// CLOCK_MONOTONIC is itself built on) scaled by a once-per-process
-/// calibration — profilers read the clock several times per dispatched
-/// event, and an out-of-line clock_gettime there costs >20% of a BENCH
-/// run. Values feed reports only; they can never perturb the simulation.
+/// calibration, far cheaper than an out-of-line clock_gettime. Values feed
+/// reports only; they can never perturb the simulation.
 inline std::uint64_t fastClockNs() {
 #if defined(__x86_64__)
   static const double nsPerTick = detail::tscNsPerTick();
@@ -162,27 +154,40 @@ inline std::uint64_t fastClockNs() {
   return detail::steadyNowNs();
 }
 
-/// Collects per-category self-time and occupancy peaks for one run.
+/// Collects per-category wall time and occupancy peaks for one run.
 /// Single-threaded, like the scheduler that drives it.
+///
+/// Time is charged in *category runs*: maximal stretches of consecutive
+/// dispatches that share a category. The profiler keeps one run open and
+/// reads the clock only when the dispatched category differs from it, so a
+/// broadcast's burst of same-category receiver events costs one read.
 class Profiler {
  public:
   using ClockFn = std::uint64_t (*)();
 
   /// `clock` overrides the wall-clock source (tests); nullptr = monotonic
   /// steady clock.
-  explicit Profiler(ProfConfig cfg, ClockFn clock = nullptr);
+  explicit Profiler(ProfConfig cfg, ClockFn clock = nullptr)
+      : cfg_(cfg), clock_(clock) {}
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
-  /// True when per-category stats are being collected (heartbeat-only
-  /// profilers skip all scope work).
-  bool collecting() const { return cfg_.enabled; }
-  const ProfConfig& config() const { return cfg_; }
+  /// Called by the scheduler before each handler runs. Counts the dispatch;
+  /// when `c` differs from the open run's category (or no run is open), it
+  /// closes that run and opens one for `c` at the current clock reading.
+  /// A disabled profiler does nothing.
+  void dispatch(Category c) {
+    if (!cfg_.enabled) return;
+    ++stats_[static_cast<std::size_t>(c)].dispatches;
+    if (static_cast<std::uint8_t>(c) != runCat_) switchRun(c);
+  }
 
-  /// Charge one scheduler dispatch to `c` (the scope around the handler
-  /// accounts the time; this keeps the event count).
-  void countDispatch(Category c) {
-    if (cfg_.enabled) ++stats_[static_cast<std::size_t>(c)].dispatches;
+  /// Close the open run, if any, so the time until the next dispatch is not
+  /// charged (the scheduler calls this when runUntil returns).
+  void closeRun() {
+    if (runCat_ == kNoRun) return;
+    charge(clockNs());
+    runCat_ = kNoRun;
   }
 
   /// Raise the peak of `g` to at least `v`.
@@ -190,16 +195,6 @@ class Profiler {
     if (!cfg_.enabled) return;
     std::uint64_t& peak = gaugePeaks_[static_cast<std::size_t>(g)];
     if (v > peak) peak = v;
-  }
-
-  /// Progress heartbeat, called by the scheduler after each dispatched
-  /// event. Self-throttles: counter mask first, wall-clock check second,
-  /// stderr line at most every heartbeatSec. No-op when heartbeatSec == 0.
-  void heartbeat(std::int64_t simNowNs, std::int64_t simUntilNs,
-                 std::uint64_t executed) {
-    if (heartbeatPeriodNs_ == 0) return;
-    if ((++hbTick_ & 0x3FF) != 0) return;
-    heartbeatSlow(simNowNs, simUntilNs, executed);
   }
 
   Report report() const;
@@ -211,71 +206,24 @@ class Profiler {
   }
 
  private:
-  friend class Scope;
+  static constexpr std::uint8_t kNoRun = kNumCategories;
 
   struct CategoryStats {
     std::uint64_t dispatches = 0;
-    std::uint64_t scopes = 0;
     std::uint64_t selfNs = 0;
-    LatencyHistogram latency;
+    LatencyHistogram latency;  // one record per closed run
   };
 
-  void recordSelf(Category c, std::uint64_t selfNs) {
-    CategoryStats& s = stats_[static_cast<std::size_t>(c)];
-    ++s.scopes;
-    s.selfNs += selfNs;
-    if (cfg_.histograms) s.latency.record(selfNs);
-  }
-
-  void heartbeatSlow(std::int64_t simNowNs, std::int64_t simUntilNs,
-                     std::uint64_t executed);
+  void switchRun(Category c);
+  /// Charge the open run's time up to `nowNs` to its category.
+  void charge(std::uint64_t nowNs);
 
   ProfConfig cfg_;
   ClockFn clock_;
-  Scope* current_ = nullptr;  // innermost open scope (single-threaded)
+  std::uint8_t runCat_ = kNoRun;  // open run's category, or kNoRun
+  std::uint64_t runStartNs_ = 0;  // clock reading when the open run began
   std::array<CategoryStats, kNumCategories> stats_{};
   std::array<std::uint64_t, kNumGauges> gaugePeaks_{};
-  // Heartbeat state (wall-clock only; never influences the simulation).
-  std::uint64_t heartbeatPeriodNs_ = 0;
-  std::uint64_t hbTick_ = 0;
-  std::uint64_t startWallNs_ = 0;
-  std::uint64_t lastBeatWallNs_ = 0;
-  std::int64_t lastBeatSimNs_ = 0;
-  std::uint64_t lastBeatEvents_ = 0;
-};
-
-/// RAII self-time attribution. Inert (no clock read, no state) when the
-/// profiler is null or not collecting. Nesting charges the inner scope's
-/// elapsed time to the inner category and excludes it from the outer
-/// scope's self time.
-class Scope {
- public:
-  Scope(Profiler* p, Category c) : cat_(c) {
-    if (p == nullptr || !p->collecting()) return;
-    prof_ = p;
-    startNs_ = p->clockNs();
-    parent_ = p->current_;
-    p->current_ = this;
-  }
-
-  ~Scope() {
-    if (prof_ == nullptr) return;
-    const std::uint64_t elapsed = prof_->clockNs() - startNs_;
-    const std::uint64_t self = elapsed > childNs_ ? elapsed - childNs_ : 0;
-    prof_->recordSelf(cat_, self);
-    prof_->current_ = parent_;
-    if (parent_ != nullptr) parent_->childNs_ += elapsed;
-  }
-
-  Scope(const Scope&) = delete;
-  Scope& operator=(const Scope&) = delete;
-
- private:
-  Category cat_;
-  Profiler* prof_ = nullptr;
-  Scope* parent_ = nullptr;
-  std::uint64_t startNs_ = 0;
-  std::uint64_t childNs_ = 0;
 };
 
 }  // namespace manet::prof

@@ -167,7 +167,7 @@ SweepResult runPlan(const ExperimentPlan& plan, RunnerOptions opts) {
   const auto wallStart = std::chrono::steady_clock::now();
   if (jobs <= 1) {
     // Serial path: run in the calling thread, no pool — behaviourally the
-    // legacy runReplicated loop (heartbeats, sinks and all).
+    // legacy runReplicated loop (sinks and all).
     for (std::size_t t = 0; t < numTasks; ++t) runTask(t);
   } else {
     // Work-stealing pool: idle workers pull the next unclaimed task from

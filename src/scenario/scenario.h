@@ -64,8 +64,8 @@ struct ScenarioConfig {
   /// empty — an empty plan is a strict no-op (bit-identical runs).
   fault::FaultPlan fault = fault::FaultPlan::fromEnv();
 
-  /// Self-profiling knobs (per-category wall-time attribution, progress
-  /// heartbeat); defaults pick up MANET_PROF_* environment overrides.
+  /// Self-profiling knobs (per-category wall-time attribution); defaults
+  /// pick up MANET_PROF_* environment overrides.
   /// Profiling reads only the wall clock, so enabling it keeps runs
   /// bit-identical (enforced by tests/integration).
   prof::ProfConfig prof = prof::ProfConfig::fromEnv();

@@ -71,22 +71,16 @@ void Scheduler::runUntil(Time until) {
     const bool capture = spanCapacity_ > 0;
     const std::uint64_t w0 =
         capture && prof_ != nullptr ? prof_->clockNs() : 0;
-    if (prof_ != nullptr) {
-      {
-        prof::Scope scope(prof_, cat);  // inert unless collecting
-        prof_->countDispatch(cat);
-        fn();
-      }
-      prof_->heartbeat(now_.ns(), until.ns(), executed_);
-    } else {
-      fn();
-    }
+    if (prof_ != nullptr) prof_->dispatch(cat);
+    fn();
     if (capture) {
       const std::uint64_t w1 =
           prof_ != nullptr ? prof_->clockNs() : 0;
       recordSpan(DispatchSpan{k.at, executed_, w0, w1 - w0, cat});
     }
   }
+  // Time spent outside runUntil belongs to no category.
+  if (prof_ != nullptr) prof_->closeRun();
   if (now_ < until && until != Time::max()) now_ = until;
 }
 

@@ -92,11 +92,12 @@ class Scheduler {
   /// Always "heap"; perfbench/driver/main.cc prints it.
   const char* queueName() const { return "heap"; }
 
-  /// Attach a profiler (nullable; not owned). When set, each dispatched
-  /// event is timed and charged to its scheduling category, and the
-  /// profiler's progress heartbeat is driven from the dispatch loop. The
-  /// profiler only observes wall time — never sim time or any RNG stream —
-  /// so profiled runs stay bit-identical.
+  /// Attach a profiler (nullable; not owned). When set, each dispatch is
+  /// counted against its scheduling category, and wall time is charged to
+  /// categories in runs of consecutive same-category dispatches; the open
+  /// run is closed when runUntil returns. The profiler only observes wall
+  /// time — never sim time or any RNG stream — so profiled runs stay
+  /// bit-identical.
   void setProfiler(prof::Profiler* p) { prof_ = p; }
   prof::Profiler* profiler() const { return prof_; }
 

@@ -15,7 +15,7 @@
 // each run installs its capture sink on the thread it runs on, so parallel
 // runs can never cross-wire log lines into each other's traces — and the
 // default stderr writer serializes lines through stderrMutex(), which the
-// profiler heartbeat shares.
+// runner's progress lines share.
 #pragma once
 
 #include <cstdio>
@@ -34,7 +34,7 @@ LogLevel logLevel();
 void setLogLevel(LogLevel level);
 
 /// Process-wide mutex serializing raw stderr lines (log fallback writer,
-/// profiler heartbeat, runner progress), so concurrent runs never interleave
+/// runner progress), so concurrent runs never interleave
 /// partial lines. Hold it as `const util::MutexLock lock(stderrMutex());`
 /// around the fprintf calls that emit one logical line.
 Mutex& stderrMutex();

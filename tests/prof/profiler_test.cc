@@ -1,24 +1,28 @@
-// Profiler unit tests: histogram percentile correctness, nested-scope
-// attribution (exact, via an injected fake wall clock), and the
-// zero-allocation guarantee of the record path.
+// Profiler unit tests: histogram percentile correctness, category-run
+// attribution through the scheduler (exact, via an injected fake wall
+// clock that counts its reads), and the zero-allocation guarantee of the
+// profiled dispatch path.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 
 #include "src/prof/profiler.h"
+#include "src/sim/scheduler.h"
 
 // Replaceable global operator new/delete with an allocation counter, so
 // tests can assert the profiler's record path never touches the heap.
-// Counting is process-wide; tests snapshot the counter around the region
-// under test and avoid gtest macros inside it.
+// Counting is process-wide, and other tests in this binary allocate from
+// worker threads, so the counter is atomic. Tests snapshot it around the
+// region under test and avoid gtest macros inside it.
 namespace {
-std::uint64_t g_allocCount = 0;
+std::atomic<std::uint64_t> g_allocCount{0};
 }
 
 void* operator new(std::size_t size) {
-  ++g_allocCount;
+  g_allocCount.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -155,9 +159,20 @@ TEST(LatencyHistogramTest, PercentilesMonotonicInP) {
 
 // ------------------------------------------------------------- attribution
 
-// Injected wall clock the tests advance explicitly.
+using sim::Scheduler;
+using sim::Time;
+
+std::uint64_t allocCount() {
+  return g_allocCount.load(std::memory_order_relaxed);
+}
+
+// Injected wall clock the tests advance explicitly; it counts its reads.
 std::uint64_t g_fakeNow = 0;
-std::uint64_t fakeClock() { return g_fakeNow; }
+std::uint64_t g_clockReads = 0;
+std::uint64_t fakeClock() {
+  ++g_clockReads;
+  return g_fakeNow;
+}
 
 ProfConfig enabledCfg() {
   ProfConfig cfg;
@@ -165,143 +180,123 @@ ProfConfig enabledCfg() {
   return cfg;
 }
 
-TEST(ProfilerTest, ScopeSelfTimeExact) {
-  Profiler p(enabledCfg(), &fakeClock);
-  g_fakeNow = 100;
-  {
-    Scope s(&p, Category::kMac);
-    g_fakeNow = 160;
-  }
-  const Report r = p.report();
-  const auto& mac = r.categories[static_cast<std::size_t>(Category::kMac)];
-  EXPECT_EQ(mac.scopes, 1u);
-  EXPECT_EQ(mac.selfNs, 60u);
-  EXPECT_EQ(mac.maxNs, 60u);
+const CategoryReport& cat(const Report& r, Category c) {
+  return r.categories[static_cast<std::size_t>(c)];
 }
 
-TEST(ProfilerTest, NestedScopeChargesInnerCategoryOnly) {
+// Schedule an event at `at` whose handler advances the fake clock by
+// `costNs`, standing in for the handler's wall time.
+void scheduleCost(Scheduler& s, Time at, Category c, std::uint64_t costNs) {
+  s.scheduleAt(at, [costNs] { g_fakeNow += costNs; }, c);
+}
+
+TEST(ProfilerTest, CategoryRunsChargeExactSelfTime) {
+  Scheduler sched;
   Profiler p(enabledCfg(), &fakeClock);
+  sched.setProfiler(&p);
   g_fakeNow = 1000;
-  {
-    Scope outer(&p, Category::kMac);
-    g_fakeNow = 1050;  // 50 ns of MAC work before the nested call
-    {
-      Scope inner(&p, Category::kRouting);
-      g_fakeNow = 1090;  // 40 ns of routing work
-    }
-    g_fakeNow = 1100;  // 10 ns of MAC work after
+  g_clockReads = 0;
+  // mac, mac, phy, phy, phy, routing. Each handler also notes how many
+  // clock reads had happened when it ran.
+  const Category cats[] = {Category::kMac, Category::kMac,
+                           Category::kPhy, Category::kPhy,
+                           Category::kPhy, Category::kRouting};
+  const std::uint64_t costs[] = {10, 20, 5, 5, 7, 40};
+  std::uint64_t readsSeen[6] = {};
+  for (int i = 0; i < 6; ++i) {
+    sched.scheduleAt(
+        Time::micros(i + 1),
+        [i, &costs, &readsSeen] {
+          readsSeen[i] = g_clockReads;
+          g_fakeNow += costs[i];
+        },
+        cats[i]);
   }
-  const Report r = p.report();
-  const auto& mac = r.categories[static_cast<std::size_t>(Category::kMac)];
-  const auto& routing =
-      r.categories[static_cast<std::size_t>(Category::kRouting)];
-  EXPECT_EQ(routing.selfNs, 40u);
-  // Outer elapsed 100 ns minus the child's 40 ns = 60 ns of self time.
-  EXPECT_EQ(mac.selfNs, 60u);
-  EXPECT_EQ(r.totalSelfNs, 100u);
-}
+  sched.runUntil(Time::micros(10));
+  // One read opens each category run; a same-category burst adds none.
+  const std::uint64_t expectedReads[6] = {1, 1, 2, 2, 2, 3};
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(readsSeen[i], expectedReads[i]) << "event " << i;
+  }
+  EXPECT_EQ(g_clockReads, 4u);  // runUntil's exit closed the routing run
 
-TEST(ProfilerTest, DoublyNestedAttribution) {
-  Profiler p(enabledCfg(), &fakeClock);
-  g_fakeNow = 0;
-  {
-    Scope a(&p, Category::kPhy);
-    g_fakeNow = 10;
-    {
-      Scope b(&p, Category::kMac);
-      g_fakeNow = 30;
-      {
-        Scope c(&p, Category::kRouting);
-        g_fakeNow = 100;
-      }
-      g_fakeNow = 110;
-    }
-    g_fakeNow = 115;
-  }
-  const Report r = p.report();
-  EXPECT_EQ(r.categories[static_cast<std::size_t>(Category::kRouting)].selfNs,
-            70u);
-  EXPECT_EQ(r.categories[static_cast<std::size_t>(Category::kMac)].selfNs,
-            30u);  // 100 elapsed - 70 child
-  EXPECT_EQ(r.categories[static_cast<std::size_t>(Category::kPhy)].selfNs,
-            15u);  // 115 elapsed - 100 child
-  EXPECT_EQ(r.totalSelfNs, 115u);
-}
+  // Wall time between runUntil calls is charged to nobody, even when the
+  // next call opens with the category the last one ended on.
+  g_fakeNow += 500;
+  scheduleCost(sched, Time::micros(20), Category::kRouting, 8);
+  sched.runUntil(Time::micros(30));
+  EXPECT_EQ(g_clockReads, 6u);
+  sched.runUntil(Time::micros(40));  // nothing to dispatch, nothing to read
+  EXPECT_EQ(g_clockReads, 6u);
 
-TEST(ProfilerTest, SameCategoryNestingDoesNotDoubleCount) {
-  Profiler p(enabledCfg(), &fakeClock);
-  g_fakeNow = 0;
-  {
-    Scope a(&p, Category::kRouting);
-    g_fakeNow = 10;
-    {
-      Scope b(&p, Category::kRouting);
-      g_fakeNow = 50;
-    }
-    g_fakeNow = 60;
-  }
   const Report r = p.report();
-  const auto& routing =
-      r.categories[static_cast<std::size_t>(Category::kRouting)];
-  // 40 inner self + 20 outer self = 60 total, the true elapsed time.
-  EXPECT_EQ(routing.selfNs, 60u);
-  EXPECT_EQ(routing.scopes, 2u);
+  EXPECT_EQ(cat(r, Category::kMac).dispatches, 2u);
+  EXPECT_EQ(cat(r, Category::kMac).selfNs, 30u);
+  EXPECT_EQ(cat(r, Category::kPhy).dispatches, 3u);
+  EXPECT_EQ(cat(r, Category::kPhy).selfNs, 17u);
+  EXPECT_EQ(cat(r, Category::kRouting).dispatches, 2u);
+  EXPECT_EQ(cat(r, Category::kRouting).selfNs, 48u);
+  EXPECT_EQ(cat(r, Category::kRouting).maxNs, 40u);  // the longer run
+  EXPECT_EQ(r.totalDispatches, 7u);
+  EXPECT_EQ(r.totalSelfNs, 95u);  // exactly the time spent inside runUntil
 }
 
 TEST(ProfilerTest, DisabledProfilerRecordsNothing) {
+  Scheduler sched;
   Profiler p(ProfConfig{}, &fakeClock);  // enabled = false
+  sched.setProfiler(&p);
   g_fakeNow = 100;
-  {
-    Scope s(&p, Category::kMac);
-    g_fakeNow = 200;
-  }
-  p.countDispatch(Category::kMac);
+  g_clockReads = 0;
+  scheduleCost(sched, Time::micros(1), Category::kMac, 100);
+  scheduleCost(sched, Time::micros(2), Category::kPhy, 100);
+  sched.run();
   p.notePeak(Gauge::kRouteCacheEntries, 99);
   const Report r = p.report();
   EXPECT_FALSE(r.enabled);
-  EXPECT_EQ(r.categories[static_cast<std::size_t>(Category::kMac)].scopes,
-            0u);
+  EXPECT_EQ(sched.executedCount(), 2u);
   EXPECT_EQ(r.totalDispatches, 0u);
+  EXPECT_EQ(r.totalSelfNs, 0u);
+  EXPECT_EQ(g_clockReads, 0u);
   EXPECT_EQ(
       r.gaugePeaks[static_cast<std::size_t>(Gauge::kRouteCacheEntries)], 0u);
 }
 
-TEST(ProfilerTest, NullProfilerScopeIsInert) {
-  g_fakeNow = 0;
-  Scope s(nullptr, Category::kMac);  // must not crash or read the clock
-  SUCCEED();
-}
-
 TEST(ProfilerTest, DispatchCountsAndGaugePeaks) {
+  Scheduler sched;
   Profiler p(enabledCfg(), &fakeClock);
-  p.countDispatch(Category::kPhy);
-  p.countDispatch(Category::kPhy);
-  p.countDispatch(Category::kFault);
+  sched.setProfiler(&p);
+  scheduleCost(sched, Time::micros(1), Category::kPhy, 1);
+  scheduleCost(sched, Time::micros(2), Category::kPhy, 1);
+  scheduleCost(sched, Time::micros(3), Category::kFault, 1);
+  sched.run();
   p.notePeak(Gauge::kSendBufOccupancy, 3);
   p.notePeak(Gauge::kSendBufOccupancy, 7);
   p.notePeak(Gauge::kSendBufOccupancy, 5);  // lower: must not lower the peak
   const Report r = p.report();
-  EXPECT_EQ(r.categories[static_cast<std::size_t>(Category::kPhy)].dispatches,
-            2u);
-  EXPECT_EQ(
-      r.categories[static_cast<std::size_t>(Category::kFault)].dispatches,
-      1u);
+  EXPECT_EQ(cat(r, Category::kPhy).dispatches, 2u);
+  EXPECT_EQ(cat(r, Category::kFault).dispatches, 1u);
   EXPECT_EQ(r.totalDispatches, 3u);
   EXPECT_EQ(r.gaugePeaks[static_cast<std::size_t>(Gauge::kSendBufOccupancy)],
             7u);
 }
 
 TEST(ProfilerTest, PercentilesInReport) {
+  Scheduler sched;
   Profiler p(enabledCfg(), &fakeClock);
+  sched.setProfiler(&p);
+  g_fakeNow = 0;
+  // Alternate categories so every traffic event is a run of its own, and
+  // every traffic run takes exactly 100 ns.
   for (int i = 0; i < 100; ++i) {
-    g_fakeNow = 1000 * static_cast<std::uint64_t>(i);
-    Scope s(&p, Category::kTraffic);
-    g_fakeNow += 100;  // every scope takes exactly 100 ns
+    scheduleCost(sched, Time::micros(2 * i), Category::kTraffic, 100);
+    scheduleCost(sched, Time::micros(2 * i + 1), Category::kMac, 900);
   }
+  sched.run();
   const Report r = p.report();
-  const auto& t = r.categories[static_cast<std::size_t>(Category::kTraffic)];
-  EXPECT_EQ(t.scopes, 100u);
+  const CategoryReport& t = cat(r, Category::kTraffic);
+  EXPECT_EQ(t.dispatches, 100u);
   EXPECT_EQ(t.selfNs, 100u * 100u);
+  EXPECT_EQ(t.maxNs, 100u);
   // All samples identical: every percentile lands in the same bucket.
   EXPECT_GE(t.p50Ns, 100.0 * 0.875);
   EXPECT_LE(t.p50Ns, 100.0 * 1.25);
@@ -310,17 +305,17 @@ TEST(ProfilerTest, PercentilesInReport) {
 }
 
 TEST(ProfilerTest, ReportJsonHasExpectedKeys) {
+  Scheduler sched;
   Profiler p(enabledCfg(), &fakeClock);
+  sched.setProfiler(&p);
   g_fakeNow = 0;
-  {
-    Scope s(&p, Category::kRouting);
-    g_fakeNow = 500;
-  }
-  p.countDispatch(Category::kRouting);
+  scheduleCost(sched, Time::micros(1), Category::kRouting, 500);
+  sched.run();
   p.notePeak(Gauge::kNegCacheEntries, 4);
   const std::string json = toJson(p.report());
-  EXPECT_NE(json.find("\"routing\""), std::string::npos);
-  EXPECT_NE(json.find("\"self_ns\":500"), std::string::npos);
+  EXPECT_NE(json.find("\"routing\":{\"dispatches\":1,\"self_ns\":500"),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"neg_cache_entries_peak\":4"), std::string::npos);
   EXPECT_NE(json.find("\"total_dispatches\":1"), std::string::npos);
   // Categories with no activity are omitted.
@@ -329,38 +324,50 @@ TEST(ProfilerTest, ReportJsonHasExpectedKeys) {
 
 // ------------------------------------------------------------- allocations
 
-TEST(ProfilerTest, RecordPathMakesNoAllocations) {
-  Profiler p(enabledCfg(), &fakeClock);
-  // Warm-up outside the measured region (none of this should allocate
-  // either, but the assertion is about the steady-state record path).
-  g_fakeNow = 0;
-  const std::uint64_t before = g_allocCount;
-  for (int i = 0; i < 1000; ++i) {
-    Scope outer(&p, Category::kMac);
-    g_fakeNow += 50;
-    {
-      Scope inner(&p, Category::kRouting);
-      g_fakeNow += 30;
+// Fill `sched` with `n` events alternating mac and routing, each touching
+// a gauge. Run it once beforehand so the scheduler's own buffers (closure
+// slots, free list) are at capacity and the measured run allocates nothing
+// of the scheduler's.
+void warmAlternating(Scheduler& sched, Profiler& p, int n) {
+  for (int round = 0; round < 2; ++round) {
+    const Time base = sched.now() + Time::micros(1);
+    for (int i = 0; i < n; ++i) {
+      sched.scheduleAt(
+          base + Time::micros(i),
+          [&p, i] {
+            g_fakeNow += 50;
+            p.notePeak(Gauge::kRouteCacheEntries,
+                       static_cast<std::uint64_t>(i % 64));
+          },
+          i % 2 == 0 ? Category::kMac : Category::kRouting);
     }
-    p.countDispatch(Category::kMac);
-    p.notePeak(Gauge::kRouteCacheEntries,
-               static_cast<std::uint64_t>(i % 64));
+    if (round == 0) sched.run();
   }
-  const std::uint64_t after = g_allocCount;
+}
+
+TEST(ProfilerTest, RecordPathMakesNoAllocations) {
+  Scheduler sched;
+  Profiler p(enabledCfg(), &fakeClock);
+  sched.setProfiler(&p);
+  warmAlternating(sched, p, 1000);
+  const std::uint64_t before = allocCount();
+  sched.run();  // 1000 dispatches, every one a category change
+  const std::uint64_t after = allocCount();
   EXPECT_EQ(after, before)
-      << "profiler record path allocated on the heap";
+      << "profiled dispatch path allocated on the heap";
+  EXPECT_EQ(p.report().totalDispatches, 2000u);
 }
 
 TEST(ProfilerTest, DisabledPathMakesNoAllocationsAndNoClockReads) {
+  Scheduler sched;
   Profiler p(ProfConfig{}, &fakeClock);
-  g_fakeNow = 777;
-  const std::uint64_t before = g_allocCount;
-  for (int i = 0; i < 1000; ++i) {
-    Scope s(&p, Category::kPhy);
-    p.countDispatch(Category::kPhy);
-  }
-  EXPECT_EQ(g_allocCount, before);
-  // A disabled scope never reads the clock, so report() sees nothing.
+  sched.setProfiler(&p);
+  warmAlternating(sched, p, 1000);
+  g_clockReads = 0;
+  const std::uint64_t before = allocCount();
+  sched.run();
+  EXPECT_EQ(allocCount(), before);
+  EXPECT_EQ(g_clockReads, 0u);
   EXPECT_EQ(p.report().totalSelfNs, 0u);
 }
 
@@ -369,24 +376,14 @@ TEST(ProfilerTest, DisabledPathMakesNoAllocationsAndNoClockReads) {
 TEST(ProfConfigTest, FromEnvOverrides) {
   ::setenv("MANET_PROF", "1", 1);
   ::setenv("MANET_PROF_HIST", "0", 1);
-  ::setenv("MANET_PROF_HEARTBEAT", "2.5", 1);
   const ProfConfig cfg = ProfConfig::fromEnv();
   EXPECT_TRUE(cfg.enabled);
   EXPECT_FALSE(cfg.histograms);
-  EXPECT_DOUBLE_EQ(cfg.heartbeatSec, 2.5);
-  EXPECT_TRUE(cfg.installed());
-  // Non-finite periods, and periods whose nanosecond count overflows,
-  // leave the base setting.
-  for (const char* bad : {"inf", "nan", "1e300"}) {
-    ::setenv("MANET_PROF_HEARTBEAT", bad, 1);
-    EXPECT_DOUBLE_EQ(ProfConfig::fromEnv(cfg).heartbeatSec, 2.5) << bad;
-  }
   ::unsetenv("MANET_PROF");
   ::unsetenv("MANET_PROF_HIST");
-  ::unsetenv("MANET_PROF_HEARTBEAT");
   const ProfConfig off = ProfConfig::fromEnv();
   EXPECT_FALSE(off.enabled);
-  EXPECT_FALSE(off.installed());
+  EXPECT_TRUE(off.histograms);
 }
 
 TEST(ProfilerTest, PeakRssIsReadable) {
