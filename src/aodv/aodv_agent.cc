@@ -6,12 +6,6 @@
 namespace manet::aodv {
 namespace {
 
-constexpr std::size_t kSeenTableCapacity = 4096;
-
-std::uint64_t seenKey(net::NodeId a, std::uint32_t b) {
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
 /// Sequence-number comparison with the usual "fresher" semantics (no
 /// wraparound handling needed at simulation scales).
 bool fresher(std::uint32_t a, std::uint32_t b) { return a > b; }
@@ -154,7 +148,7 @@ void AodvAgent::handleRreq(const net::PacketPtr& p, net::NodeId from) {
   updateRoute(req.origin, from, req.hopCount + 1, req.originSeq,
               /*validSeq=*/true);
 
-  if (rreqSeen(req.origin, req.rreqId)) return;
+  if (!seenRreqs_.insert(req.origin, req.rreqId)) return;
 
   if (req.target == self_) {
     // RFC 3561: the destination bumps its sequence number so the reply is
@@ -459,18 +453,6 @@ void AodvAgent::periodicSweep() {
   sched_.scheduleAfter(
       cfg_.expirySweepPeriod, [this] { periodicSweep(); },
       prof::Category::kRouting);
-}
-
-bool AodvAgent::rreqSeen(net::NodeId origin, std::uint32_t id) {
-  const auto key = seenKey(origin, id);
-  if (seenRreqs_.contains(key)) return true;
-  seenRreqs_.insert(key);
-  seenRreqsFifo_.push_back(key);
-  if (seenRreqsFifo_.size() > kSeenTableCapacity) {
-    seenRreqs_.erase(seenRreqsFifo_.front());
-    seenRreqsFifo_.pop_front();
-  }
-  return false;
 }
 
 }  // namespace manet::aodv

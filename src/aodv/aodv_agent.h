@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <unordered_set>
 
@@ -22,6 +21,7 @@
 #include "src/metrics/oracle.h"
 #include "src/net/packet.h"
 #include "src/net/routing_agent.h"
+#include "src/net/seen_table.h"
 #include "src/sim/rng.h"
 #include "src/sim/scheduler.h"
 
@@ -90,7 +90,6 @@ class AodvAgent final : public net::RoutingAgent {
   /// packet whose transmission failure exposed the dead link.
   void invalidateVia(net::NodeId nextHop, std::uint64_t causeUid = 0);
   void periodicSweep();
-  bool rreqSeen(net::NodeId origin, std::uint32_t id);
 
   net::NodeId self_;
   mac::DcfMac& mac_;
@@ -108,8 +107,7 @@ class AodvAgent final : public net::RoutingAgent {
   std::map<net::NodeId, RouteEntry> routes_;
   std::map<net::NodeId, DiscoveryState> discovery_;
   core::SendBuffer sendBuf_;
-  std::unordered_set<std::uint64_t> seenRreqs_;
-  std::deque<std::uint64_t> seenRreqsFifo_;
+  net::SeenTable seenRreqs_;
 };
 
 }  // namespace manet::aodv

@@ -9,14 +9,9 @@
 namespace manet::core {
 namespace {
 
-constexpr std::size_t kSeenTableCapacity = 4096;
 /// Minimum spacing between gratuitous (route-shortening) replies to the
 /// same route source.
 constexpr sim::Time kGratReplyHoldoff = sim::Time::seconds(1);
-
-std::uint64_t seenKey(net::NodeId a, std::uint32_t b) {
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
 
 std::vector<net::NodeId> reversed(std::span<const net::NodeId> hops) {
   return {hops.rbegin(), hops.rend()};
@@ -85,7 +80,6 @@ sim::Time DsrAgent::currentExpiryTimeout() const {
 
 void DsrAgent::sendData(net::NodeId dst, std::uint32_t payloadBytes,
                         std::uint32_t flowId, std::uint64_t seqInFlow) {
-  if (metrics_) ++metrics_->dataOriginated;
   // manet-lint: allow(causal-id): root origination — new application data
   // starts a causal chain, it has no parent packet
   auto p = net::Packet::make();
@@ -93,41 +87,9 @@ void DsrAgent::sendData(net::NodeId dst, std::uint32_t payloadBytes,
   p->src = self_;
   p->dst = dst;
   p->payloadBytes = payloadBytes;
-  p->originatedAt = sched_.now();
   p->flowId = flowId;
   p->seqInFlow = seqInFlow;
-  tracePacketEvent(telemetry::TraceEvent::kPktOriginate, *p);
-
-  auto hit = lookupRoute(dst);
-  if (hit) {
-    recordCacheHit(*hit);
-    p->routeProv = hit->prov;
-    p->route = net::SourceRoute{std::move(hit->hops), 0};
-    transmitAlongRoute(std::move(p));
-    return;
-  }
-  if (tracing()) {
-    telemetry::TraceRecord miss;
-    miss.at = sched_.now();
-    miss.event = telemetry::TraceEvent::kCacheMiss;
-    miss.node = self_;
-    miss.src = self_;
-    miss.dst = dst;
-    tracer_->emit(miss);
-  }
-  const std::uint64_t triggerUid = p->uid;
-  auto evicted = sendBuf_.push(std::move(p), dst, sched_.now());
-  if (prof::Profiler* pr = sched_.profiler()) {
-    pr->notePeak(prof::Gauge::kSendBufOccupancy, sendBuf_.size());
-  }
-  if (metrics_) metrics_->dropSendBufferOverflow += evicted.size();
-  for (const auto& e : evicted) {
-    if (e.packet) {
-      tracePacketEvent(telemetry::TraceEvent::kPktDrop, *e.packet,
-                       telemetry::DropReason::kSendBufferOverflow);
-    }
-  }
-  startDiscovery(dst, triggerUid);
+  sendPacket(std::move(p));
 }
 
 void DsrAgent::sendPacket(std::shared_ptr<net::Packet> p) {
@@ -323,8 +285,8 @@ void DsrAgent::handleRequest(const net::PacketPtr& p, net::NodeId from) {
     return;
   }
 
-  if (requestSeen(req.origin, req.id)) return;
-  rememberRequest(req.origin, req.id);
+  if (seenRequests_.contains(req.origin, req.id)) return;
+  seenRequests_.insert(req.origin, req.id);
 
   // Reply from cache: quenches the flood at this node.
   if (cfg_.replyFromCache) {
@@ -705,7 +667,7 @@ void DsrAgent::handleErrorBroadcast(const net::PacketPtr& p) {
   assert(p->rerr);
   const net::RouteErrorHdr& err = *p->rerr;
   if (err.detector == self_) return;
-  if (errorSeen(err.detector, err.errorId)) return;
+  if (!seenErrors_.insert(err.detector, err.errorId)) return;
 
   // Rebroadcast only if we both cached the broken link and had used it in
   // packets we forwarded — this prunes the flood to the tree of nodes that
@@ -935,35 +897,6 @@ void DsrAgent::periodicBufferSweep() {
   sched_.scheduleAfter(
       sim::Time::seconds(1), [this] { periodicBufferSweep(); },
       prof::Category::kRouting);
-}
-
-// -------------------------------------------------------------- dedup sets
-
-bool DsrAgent::requestSeen(net::NodeId origin, std::uint32_t id) {
-  return seenRequests_.contains(seenKey(origin, id));
-}
-
-void DsrAgent::rememberRequest(net::NodeId origin, std::uint32_t id) {
-  const auto key = seenKey(origin, id);
-  if (seenRequests_.insert(key).second) {
-    seenRequestsFifo_.push_back(key);
-    if (seenRequestsFifo_.size() > kSeenTableCapacity) {
-      seenRequests_.erase(seenRequestsFifo_.front());
-      seenRequestsFifo_.pop_front();
-    }
-  }
-}
-
-bool DsrAgent::errorSeen(net::NodeId detector, std::uint32_t id) {
-  const auto key = seenKey(detector, id);
-  if (seenErrors_.contains(key)) return true;
-  seenErrors_.insert(key);
-  seenErrorsFifo_.push_back(key);
-  if (seenErrorsFifo_.size() > kSeenTableCapacity) {
-    seenErrors_.erase(seenErrorsFifo_.front());
-    seenErrorsFifo_.pop_front();
-  }
-  return false;
 }
 
 }  // namespace manet::core

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <span>
@@ -36,6 +35,7 @@
 #include "src/metrics/oracle.h"
 #include "src/net/packet.h"
 #include "src/net/routing_agent.h"
+#include "src/net/seen_table.h"
 #include "src/sim/rng.h"
 #include "src/sim/scheduler.h"
 
@@ -176,11 +176,6 @@ class DsrAgent final : public net::RoutingAgent {
   void periodicExpiry();
   void periodicBufferSweep();
 
-  // Request duplicate table.
-  bool requestSeen(net::NodeId origin, std::uint32_t id);
-  void rememberRequest(net::NodeId origin, std::uint32_t id);
-  bool errorSeen(net::NodeId detector, std::uint32_t id);
-
   net::NodeId self_;
   mac::DcfMac& mac_;
   sim::Scheduler& sched_;
@@ -199,10 +194,8 @@ class DsrAgent final : public net::RoutingAgent {
   /// discoveries, and the resulting RREQ emission order is
   /// simulation-visible. Point-lookup-only sets below stay unordered.
   std::map<net::NodeId, DiscoveryState> discovery_;
-  std::unordered_set<std::uint64_t> seenRequests_;
-  std::deque<std::uint64_t> seenRequestsFifo_;
-  std::unordered_set<std::uint64_t> seenErrors_;
-  std::deque<std::uint64_t> seenErrorsFifo_;
+  net::SeenTable seenRequests_;
+  net::SeenTable seenErrors_;
   /// Links this node recently used while forwarding packets — the wider
   /// error rebroadcast predicate ("that route was used before in the
   /// packets forwarded by the node"). Kept only with wider error

@@ -5,9 +5,7 @@
 #include <numeric>
 
 #include "src/net/network.h"
-#include "src/phy/neighbor_index.h"
 #include "src/phy/radio.h"
-#include "src/traffic/cbr.h"
 
 namespace manet::fault {
 
@@ -17,19 +15,9 @@ FaultInjector::FaultInjector(net::Network& network, FaultPlan plan,
       plan_(std::move(plan)),
       horizon_(horizon),
       rng_(network.rng().stream("fault", plan_.seed)),
-      noiseRng_(network.rng().stream("fault-noise", plan_.seed)),
       down_(network.size(), false) {
   scheduleScripted();
   if (plan_.churn.fraction > 0.0) startChurn();
-  if (plan_.blackout.meanGapSec > 0.0) {
-    armBlackoutGenerator(expDuration(plan_.blackout.meanGapSec));
-  }
-  if (plan_.noise.meanGapSec > 0.0) {
-    armNoiseGenerator(expDuration(plan_.noise.meanGapSec));
-  }
-  if (plan_.surge.meanGapSec > 0.0) {
-    armSurgeGenerator(expDuration(plan_.surge.meanGapSec));
-  }
 }
 
 sim::Scheduler& FaultInjector::sched() { return net_.scheduler(); }
@@ -48,23 +36,10 @@ void FaultInjector::scheduleScripted() {
     sched().scheduleAt(
         ev.at,
         [this, ev] {
-          switch (ev.kind) {
-            case FaultKind::kNodeCrash:
-              crash(ev.node);
-              break;
-            case FaultKind::kNodeRecover:
-              recover(ev.node, plan_.churn.wipeCachesOnRecovery);
-              break;
-            case FaultKind::kLinkBlackout:
-              beginBlackout(ev.node, ev.peer, ev.duration,
-                            ev.bothDirections);
-              break;
-            case FaultKind::kNoiseBurst:
-              beginNoise(ev.duration, ev.value);
-              break;
-            case FaultKind::kTrafficSurge:
-              beginSurge(ev.duration, ev.value);
-              break;
+          if (ev.kind == FaultKind::kNodeCrash) {
+            crash(ev.node);
+          } else {
+            recover(ev.node, plan_.churn.wipeCachesOnRecovery);
           }
         },
         prof::Category::kFault);
@@ -111,75 +86,6 @@ void FaultInjector::churnRecover(net::NodeId id) {
   }
 }
 
-// ----------------------------------------------------------- generators
-
-void FaultInjector::armBlackoutGenerator(sim::Time at) {
-  if (at >= horizon_) return;
-  sched().scheduleAt(
-      at,
-      [this] {
-        const auto n = static_cast<std::int64_t>(net_.size());
-        const auto from = static_cast<net::NodeId>(rng_.uniformInt(0, n - 1));
-        net::NodeId to = from;
-        if (plan_.blackout.inRangeOnly) {
-          // Jam a link that actually exists: query the channel's neighbor
-          // index for radios currently audible from `from` (visited in id
-          // order, so the candidate list is deterministic) and pick one.
-          const phy::NeighborIndex& index = net_.channel().neighborIndex();
-          candidates_.clear();
-          index.forEachInRange(
-              index.positionAt(from, sched().now()),
-              net_.channel().config().rangeMeters, sched().now(), nullptr,
-              [&](phy::Radio& r, double) {
-                if (r.id() != from) candidates_.push_back(r.id());
-              });
-          if (!candidates_.empty()) {
-            to = candidates_[static_cast<std::size_t>(rng_.uniformInt(
-                0, static_cast<std::int64_t>(candidates_.size()) - 1))];
-          }
-        } else {
-          do {
-            to = static_cast<net::NodeId>(rng_.uniformInt(0, n - 1));
-          } while (to == from);
-        }
-        const sim::Time dur = expDuration(plan_.blackout.meanDurationSec);
-        // `to == from` means no in-range peer existed: skip this window.
-        if (to != from) {
-          beginBlackout(from, to, dur, !plan_.blackout.unidirectional);
-        }
-        // Next window opens after this one closes (windows never overlap).
-        armBlackoutGenerator(sched().now() + dur +
-                             expDuration(plan_.blackout.meanGapSec));
-      },
-      prof::Category::kFault);
-}
-
-void FaultInjector::armNoiseGenerator(sim::Time at) {
-  if (at >= horizon_) return;
-  sched().scheduleAt(
-      at,
-      [this] {
-        const sim::Time dur = expDuration(plan_.noise.meanDurationSec);
-        beginNoise(dur, plan_.noise.corruptProb);
-        armNoiseGenerator(sched().now() + dur +
-                          expDuration(plan_.noise.meanGapSec));
-      },
-      prof::Category::kFault);
-}
-
-void FaultInjector::armSurgeGenerator(sim::Time at) {
-  if (at >= horizon_) return;
-  sched().scheduleAt(
-      at,
-      [this] {
-        const sim::Time dur = expDuration(plan_.surge.meanDurationSec);
-        beginSurge(dur, plan_.surge.rateMultiplier);
-        armSurgeGenerator(sched().now() + dur +
-                          expDuration(plan_.surge.meanGapSec));
-      },
-      prof::Category::kFault);
-}
-
 // -------------------------------------------------------------- actions
 
 void FaultInjector::crash(net::NodeId id) {
@@ -189,7 +95,7 @@ void FaultInjector::crash(net::NodeId id) {
   node.radio().setUp(false);
   node.macLayer().flushQueue();
   ++net_.metrics().faultNodeCrashes;
-  traceFault(telemetry::TraceEvent::kNodeCrash, id, 0, 0, 0);
+  traceFault(telemetry::TraceEvent::kNodeCrash, id, 0);
 }
 
 void FaultInjector::recover(net::NodeId id, bool wipeCaches) {
@@ -200,58 +106,10 @@ void FaultInjector::recover(net::NodeId id, bool wipeCaches) {
   const bool wiped = wipeCaches && node.protocol() == net::Protocol::kDsr;
   if (wiped) node.dsr().wipeCaches();
   ++net_.metrics().faultNodeRecoveries;
-  traceFault(telemetry::TraceEvent::kNodeRecover, id, 0, 0, wiped ? 1 : 0);
-}
-
-void FaultInjector::beginBlackout(net::NodeId from, net::NodeId to,
-                                  sim::Time duration, bool bothDirections) {
-  const sim::Time now = sched().now();
-  net_.channel().addLinkBlackout(from, to, now, now + duration);
-  if (bothDirections) {
-    net_.channel().addLinkBlackout(to, from, now, now + duration);
-  }
-  ++net_.metrics().faultLinkBlackouts;
-  traceFault(telemetry::TraceEvent::kLinkBlackout, from, from, to,
-             duration.ns());
-}
-
-void FaultInjector::beginNoise(sim::Time duration, double corruptProb) {
-  if (noiseActive_) return;  // overlapping scripted bursts: keep the first
-  noiseActive_ = true;
-  // Radio-wide sweep through the neighbor index (attach == id order).
-  net_.channel().neighborIndex().forEachRadio(
-      [this, corruptProb](phy::Radio& r) {
-        r.setNoise(corruptProb, &noiseRng_);
-      });
-  ++net_.metrics().faultNoiseBursts;
-  traceFault(telemetry::TraceEvent::kNoiseBurst, 0, 0, 0, duration.ns());
-  sched().scheduleAfter(
-      duration, [this] { endNoise(); }, prof::Category::kFault);
-}
-
-void FaultInjector::endNoise() {
-  net_.channel().neighborIndex().forEachRadio(
-      [](phy::Radio& r) { r.setNoise(0.0, nullptr); });
-  noiseActive_ = false;
-}
-
-void FaultInjector::beginSurge(sim::Time duration, double multiplier) {
-  if (surgeActive_) return;
-  surgeActive_ = true;
-  for (traffic::CbrSource* s : sources_) s->setRateMultiplier(multiplier);
-  ++net_.metrics().faultTrafficSurges;
-  traceFault(telemetry::TraceEvent::kTrafficSurge, 0, 0, 0, duration.ns());
-  sched().scheduleAfter(
-      duration, [this] { endSurge(); }, prof::Category::kFault);
-}
-
-void FaultInjector::endSurge() {
-  for (traffic::CbrSource* s : sources_) s->setRateMultiplier(1.0);
-  surgeActive_ = false;
+  traceFault(telemetry::TraceEvent::kNodeRecover, id, wiped ? 1 : 0);
 }
 
 void FaultInjector::traceFault(telemetry::TraceEvent event, net::NodeId node,
-                               net::NodeId src, net::NodeId dst,
                                std::int64_t detail) {
   telemetry::Tracer& tracer = net_.tracer();
   if (!tracer.enabled()) return;
@@ -259,8 +117,6 @@ void FaultInjector::traceFault(telemetry::TraceEvent event, net::NodeId node,
   r.at = sched().now();
   r.event = event;
   r.node = node;
-  r.src = src;
-  r.dst = dst;
   r.detail = detail;
   tracer.emit(r);
 }

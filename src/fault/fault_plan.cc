@@ -12,20 +12,12 @@ const char* toString(FaultKind k) {
       return "node_crash";
     case FaultKind::kNodeRecover:
       return "node_recover";
-    case FaultKind::kLinkBlackout:
-      return "link_blackout";
-    case FaultKind::kNoiseBurst:
-      return "noise_burst";
-    case FaultKind::kTrafficSurge:
-      return "traffic_surge";
   }
   return "unknown";
 }
 
 bool FaultPlan::empty() const {
-  return scripted.empty() && churn.fraction == 0.0 &&
-         blackout.meanGapSec == 0.0 && noise.meanGapSec == 0.0 &&
-         surge.meanGapSec == 0.0;
+  return scripted.empty() && churn.fraction == 0.0;
 }
 
 namespace {
@@ -39,45 +31,9 @@ void validateEvent(const FaultEvent& ev, std::size_t index, int numNodes) {
       "scripted event #" + std::to_string(index) + " (" + toString(ev.kind) +
       "): ";
   if (ev.at < sim::Time::zero()) fail(where + "`at` must be >= 0");
-  const bool nodeScoped = ev.kind == FaultKind::kNodeCrash ||
-                          ev.kind == FaultKind::kNodeRecover ||
-                          ev.kind == FaultKind::kLinkBlackout;
-  if (nodeScoped && ev.node >= static_cast<net::NodeId>(numNodes)) {
+  if (ev.node >= static_cast<net::NodeId>(numNodes)) {
     fail(where + "node " + std::to_string(ev.node) + " out of range (have " +
          std::to_string(numNodes) + " nodes)");
-  }
-  switch (ev.kind) {
-    case FaultKind::kLinkBlackout:
-      if (ev.peer >= static_cast<net::NodeId>(numNodes)) {
-        fail(where + "peer " + std::to_string(ev.peer) +
-             " out of range (have " + std::to_string(numNodes) + " nodes)");
-      }
-      if (ev.peer == ev.node) fail(where + "node and peer must differ");
-      if (ev.duration <= sim::Time::zero()) {
-        fail(where + "duration must be > 0");
-      }
-      break;
-    case FaultKind::kNoiseBurst:
-      if (ev.duration <= sim::Time::zero()) {
-        fail(where + "duration must be > 0");
-      }
-      if (ev.value <= 0.0 || ev.value > 1.0) {
-        fail(where + "value (corruption probability) must be in (0, 1], got " +
-             std::to_string(ev.value));
-      }
-      break;
-    case FaultKind::kTrafficSurge:
-      if (ev.duration <= sim::Time::zero()) {
-        fail(where + "duration must be > 0");
-      }
-      if (ev.value <= 0.0) {
-        fail(where + "value (rate multiplier) must be > 0, got " +
-             std::to_string(ev.value));
-      }
-      break;
-    case FaultKind::kNodeCrash:
-    case FaultKind::kNodeRecover:
-      break;
   }
 }
 
@@ -95,33 +51,6 @@ void FaultPlan::validate(int numNodes, sim::Time horizon) const {
     }
     if (churn.meanDownTimeSec <= 0.0) {
       fail("churn.meanDownTimeSec must be > 0 when churn is enabled");
-    }
-  }
-  if (blackout.meanGapSec < 0.0) fail("blackout.meanGapSec must be >= 0");
-  if (blackout.meanGapSec > 0.0 && blackout.meanDurationSec <= 0.0) {
-    fail("blackout.meanDurationSec must be > 0 when blackouts are enabled");
-  }
-  if (blackout.meanGapSec > 0.0 && numNodes < 2) {
-    fail("link blackouts need at least 2 nodes");
-  }
-  if (noise.meanGapSec < 0.0) fail("noise.meanGapSec must be >= 0");
-  if (noise.meanGapSec > 0.0) {
-    if (noise.meanDurationSec <= 0.0) {
-      fail("noise.meanDurationSec must be > 0 when noise bursts are enabled");
-    }
-    if (noise.corruptProb <= 0.0 || noise.corruptProb > 1.0) {
-      fail("noise.corruptProb must be in (0, 1], got " +
-           std::to_string(noise.corruptProb));
-    }
-  }
-  if (surge.meanGapSec < 0.0) fail("surge.meanGapSec must be >= 0");
-  if (surge.meanGapSec > 0.0) {
-    if (surge.meanDurationSec <= 0.0) {
-      fail("surge.meanDurationSec must be > 0 when surges are enabled");
-    }
-    if (surge.rateMultiplier <= 0.0) {
-      fail("surge.rateMultiplier must be > 0, got " +
-           std::to_string(surge.rateMultiplier));
     }
   }
   for (std::size_t i = 0; i < scripted.size(); ++i) {
@@ -155,16 +84,6 @@ FaultPlan FaultPlan::fromEnv(FaultPlan base) {
   envDouble("MANET_FAULT_CHURN_UP", base.churn.meanUpTimeSec);
   envDouble("MANET_FAULT_CHURN_DOWN", base.churn.meanDownTimeSec);
   envBool("MANET_FAULT_CHURN_WIPE", base.churn.wipeCachesOnRecovery);
-  envDouble("MANET_FAULT_BLACKOUT_GAP", base.blackout.meanGapSec);
-  envDouble("MANET_FAULT_BLACKOUT_DURATION", base.blackout.meanDurationSec);
-  envBool("MANET_FAULT_BLACKOUT_UNIDIR", base.blackout.unidirectional);
-  envBool("MANET_FAULT_BLACKOUT_INRANGE", base.blackout.inRangeOnly);
-  envDouble("MANET_FAULT_NOISE_GAP", base.noise.meanGapSec);
-  envDouble("MANET_FAULT_NOISE_DURATION", base.noise.meanDurationSec);
-  envDouble("MANET_FAULT_NOISE_PROB", base.noise.corruptProb);
-  envDouble("MANET_FAULT_SURGE_GAP", base.surge.meanGapSec);
-  envDouble("MANET_FAULT_SURGE_DURATION", base.surge.meanDurationSec);
-  envDouble("MANET_FAULT_SURGE_MULT", base.surge.rateMultiplier);
   if (const char* v = std::getenv("MANET_FAULT_SEED");  // NOLINT(concurrency-mt-unsafe)
       v != nullptr && v[0] != '\0') {
     base.seed = static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10));

@@ -1,12 +1,12 @@
-// Fault-injection plan: what goes wrong, and when.
+// Fault-injection plan: which nodes crash, and when.
 //
 // The paper's only source of route staleness is random-waypoint mobility;
-// real MANETs also lose routes to node crashes, jammed or asymmetric links,
-// interference bursts, and load spikes. A FaultPlan describes those
-// adversities declaratively — a list of scripted events plus four optional
-// stochastic generators — and is executed by the FaultInjector (owned by
-// the Network) against a dedicated RNG stream, so an all-empty plan leaves
-// every run bit-identical to a build without the fault layer.
+// real MANETs also lose routes to nodes that crash and reboot. A FaultPlan
+// describes that declaratively — a list of scripted crash/recover events
+// plus an optional stochastic churn generator — and is executed by the
+// FaultInjector (owned by the Network) against a dedicated RNG stream, so an
+// all-empty plan leaves every run bit-identical to a build without the fault
+// layer.
 //
 // Fault semantics (full discussion in DESIGN.md "Fault model"):
 //  * node crash     — the node's radio neither sends nor receives; queued
@@ -14,12 +14,6 @@
 //    alive and reacts through the normal MAC-timeout paths.
 //  * node recover   — the radio comes back; caches optionally wiped
 //    (a rebooted node loses its soft state).
-//  * link blackout  — a directed pair stops hearing each other (or one
-//    direction only: an asymmetric link) for a window; modeled in the
-//    Channel, so carrier sense is blind to the blocked sender too.
-//  * noise burst    — every frame reception network-wide is corrupted with
-//    probability `corruptProb` for a window (interference / jamming).
-//  * traffic surge  — every CBR source multiplies its rate for a window.
 #pragma once
 
 #include <cstdint>
@@ -33,26 +27,14 @@ namespace manet::fault {
 enum class FaultKind : std::uint8_t {
   kNodeCrash,
   kNodeRecover,
-  kLinkBlackout,
-  kNoiseBurst,
-  kTrafficSurge,
 };
 const char* toString(FaultKind k);
 
-/// One scripted fault. Which fields matter depends on `kind`:
-///   kNodeCrash / kNodeRecover — `node`
-///   kLinkBlackout             — `node` -> `peer`, `duration`,
-///                               `bothDirections`
-///   kNoiseBurst               — `duration`, `value` = corruption probability
-///   kTrafficSurge             — `duration`, `value` = rate multiplier
+/// One scripted fault: `node` crashes or recovers at `at`.
 struct FaultEvent {
   FaultKind kind = FaultKind::kNodeCrash;
   sim::Time at;
   net::NodeId node = 0;
-  net::NodeId peer = 0;
-  sim::Time duration;
-  double value = 0.0;
-  bool bothDirections = true;
 };
 
 /// Stochastic node churn: `fraction` of the nodes cycle between up and down
@@ -64,45 +46,15 @@ struct ChurnSpec {
   bool wipeCachesOnRecovery = true;
 };
 
-/// Stochastic link blackouts: every ~`meanGapSec` a random ordered node
-/// pair goes deaf for an exponentially distributed window.
-struct BlackoutSpec {
-  double meanGapSec = 0.0;  // 0 disables blackouts
-  double meanDurationSec = 2.0;
-  bool unidirectional = false;  // block one direction only (asymmetric link)
-  /// Pick the second endpoint among radios currently in range of the first
-  /// (via the channel's NeighborIndex) instead of uniformly over all nodes,
-  /// so every blackout jams a link that actually exists. A window whose
-  /// chosen node has no neighbors is skipped (the generator re-arms).
-  bool inRangeOnly = false;
-};
-
-/// Stochastic channel-noise bursts: network-wide frame corruption windows.
-struct NoiseSpec {
-  double meanGapSec = 0.0;  // 0 disables noise bursts
-  double meanDurationSec = 1.0;
-  double corruptProb = 0.3;
-};
-
-/// Stochastic traffic surges: all CBR sources speed up for a window.
-struct SurgeSpec {
-  double meanGapSec = 0.0;  // 0 disables surges
-  double meanDurationSec = 5.0;
-  double rateMultiplier = 3.0;
-};
-
 struct FaultPlan {
   std::vector<FaultEvent> scripted;
   ChurnSpec churn;
-  BlackoutSpec blackout;
-  NoiseSpec noise;
-  SurgeSpec surge;
   /// Salt mixed into the network's "fault" RNG stream, so the fault pattern
   /// can be varied independently of mobility and traffic.
   std::uint64_t seed = 0;
 
-  /// True when nothing is scripted and every generator is disabled; the
-  /// Network then skips constructing an injector entirely (strict no-op).
+  /// True when nothing is scripted and churn is disabled; the Network then
+  /// skips constructing an injector entirely (strict no-op).
   bool empty() const;
 
   /// Fail-fast sanity check against the scenario it will run in. Throws
@@ -111,9 +63,6 @@ struct FaultPlan {
 
   /// Environment overrides (see README "Fault injection" for the table):
   ///   MANET_FAULT_CHURN_FRACTION / _CHURN_UP / _CHURN_DOWN / _CHURN_WIPE
-  ///   MANET_FAULT_BLACKOUT_GAP / _BLACKOUT_DURATION / _BLACKOUT_UNIDIR
-  ///   MANET_FAULT_NOISE_GAP / _NOISE_DURATION / _NOISE_PROB
-  ///   MANET_FAULT_SURGE_GAP / _SURGE_DURATION / _SURGE_MULT
   ///   MANET_FAULT_SEED
   static FaultPlan fromEnv();
   static FaultPlan fromEnv(FaultPlan base);

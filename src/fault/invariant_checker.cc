@@ -93,15 +93,6 @@ void InvariantChecker::record(const telemetry::TraceRecord& r) {
         down_[r.node] = false;
       }
       break;
-    case TraceEvent::kLinkBlackout:
-      ++blackouts_;
-      break;
-    case TraceEvent::kNoiseBurst:
-      ++noiseBursts_;
-      break;
-    case TraceEvent::kTrafficSurge:
-      ++surges_;
-      break;
     case TraceEvent::kPktForward:
     case TraceEvent::kPktDeliver:
       if (r.node < numNodes_ && down_[r.node]) {
@@ -153,9 +144,6 @@ void InvariantChecker::finalCheck(const metrics::Metrics& m) {
   // Fault events reconcile too.
   expectEq(crashes_, m.faultNodeCrashes, "node crashes");
   expectEq(recoveries_, m.faultNodeRecoveries, "node recoveries");
-  expectEq(blackouts_, m.faultLinkBlackouts, "link blackouts");
-  expectEq(noiseBursts_, m.faultNoiseBursts, "noise bursts");
-  expectEq(surges_, m.faultTrafficSurges, "traffic surges");
 }
 
 void checkCacheConsistency(net::Network& network, InvariantChecker& checker) {

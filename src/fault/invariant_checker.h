@@ -78,9 +78,6 @@ class InvariantChecker final : public telemetry::TraceSink {
   std::uint64_t delivered_ = 0;
   std::uint64_t crashes_ = 0;
   std::uint64_t recoveries_ = 0;
-  std::uint64_t blackouts_ = 0;
-  std::uint64_t noiseBursts_ = 0;
-  std::uint64_t surges_ = 0;
   std::uint64_t recordsChecked_ = 0;
   std::vector<std::string> violations_;
 };

@@ -82,9 +82,6 @@ struct Metrics {
   // ---- injected faults (src/fault/; all zero without a FaultPlan) ----
   std::uint64_t faultNodeCrashes = 0;
   std::uint64_t faultNodeRecoveries = 0;
-  std::uint64_t faultLinkBlackouts = 0;
-  std::uint64_t faultNoiseBursts = 0;
-  std::uint64_t faultTrafficSurges = 0;
 
   // ---- derived metrics (paper's plots) ----
   /// Sum of every drop counter (one packet may be counted at most once:

@@ -23,9 +23,6 @@ sim::Time Channel::transmit(Radio& sender, const mac::Frame& f) {
   // whichever index implementation is configured.
   index_->forEachInRange(
       pos, cfg_.rangeMeters, now, &sender, [&](Radio& r, double d) {
-        if (!blackouts_.empty() && linkBlocked(sender.id(), r.id(), now)) {
-          return;
-        }
         Radio* rp = &r;
         sched_.scheduleAt(
             now + cfg_.propagationDelay,
@@ -46,11 +43,6 @@ bool Channel::carrierBusy(const Radio& r) const {
   for (const ActiveTx& tx : active_) {
     if (tx.sender == &r) return true;  // transmitting ourselves
     if (distance(tx.senderPos, pos) > cfg_.rangeMeters) continue;
-    // A blacked-out link is inaudible to carrier sense too — jamming blinds
-    // the receiver, it does not politely defer it.
-    if (!blackouts_.empty() && linkBlocked(tx.sender->id(), r.id(), now)) {
-      continue;
-    }
     return true;
   }
   return false;
@@ -62,29 +54,12 @@ sim::Time Channel::busyUntil(const Radio& r) const {
   sim::Time latest = now;
   const Vec2 pos = index_->positionAt(r.id(), now);
   for (const ActiveTx& tx : active_) {
-    if (tx.sender != &r) {
-      if (distance(tx.senderPos, pos) > cfg_.rangeMeters) continue;
-      if (!blackouts_.empty() && linkBlocked(tx.sender->id(), r.id(), now)) {
-        continue;
-      }
+    if (tx.sender != &r && distance(tx.senderPos, pos) > cfg_.rangeMeters) {
+      continue;
     }
     latest = std::max(latest, tx.end);
   }
   return latest;
-}
-
-void Channel::addLinkBlackout(net::NodeId from, net::NodeId to,
-                              sim::Time start, sim::Time end) {
-  blackouts_.push_back(Blackout{from, to, start, end});
-}
-
-bool Channel::linkBlocked(net::NodeId from, net::NodeId to,
-                          sim::Time t) const {
-  std::erase_if(blackouts_, [t](const Blackout& b) { return b.end <= t; });
-  for (const Blackout& b : blackouts_) {
-    if (b.from == from && b.to == to && b.start <= t) return true;
-  }
-  return false;
 }
 
 void Channel::prune() const {

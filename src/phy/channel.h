@@ -63,8 +63,7 @@ class Channel {
   void attach(Radio* r) { index_->attach(r); }
 
   /// The spatial index every neighbor query goes through — transmission
-  /// delivery here, ground-truth link checks in metrics::LinkOracle,
-  /// radio-wide sweeps in fault::FaultInjector.
+  /// delivery here, ground-truth link checks in metrics::LinkOracle.
   NeighborIndex& neighborIndex() { return *index_; }
   const NeighborIndex& neighborIndex() const { return *index_; }
 
@@ -92,28 +91,10 @@ class Channel {
   const PhyConfig& config() const { return cfg_; }
   sim::Scheduler& scheduler() { return sched_; }
 
-  // --- fault injection (src/fault/) ---
-  /// Block the directed link from->to during [start, end): the receiver
-  /// neither receives frames from, nor carrier-senses, that transmitter.
-  /// Registering only one direction models an asymmetric link. Expired
-  /// windows are pruned lazily; with none registered the cost is one
-  /// empty-vector check per receiver.
-  void addLinkBlackout(net::NodeId from, net::NodeId to, sim::Time start,
-                       sim::Time end);
-  /// True if from->to is inside an active blackout window at `t`.
-  bool linkBlocked(net::NodeId from, net::NodeId to, sim::Time t) const;
-
  private:
   struct ActiveTx {
     const Radio* sender;
     Vec2 senderPos;
-    sim::Time end;
-  };
-
-  struct Blackout {
-    net::NodeId from;
-    net::NodeId to;
-    sim::Time start;
     sim::Time end;
   };
 
@@ -123,7 +104,6 @@ class Channel {
   PhyConfig cfg_;
   std::unique_ptr<NeighborIndex> index_;
   mutable std::vector<ActiveTx> active_;
-  mutable std::vector<Blackout> blackouts_;
   std::uint64_t nextTxId_ = 1;
 };
 

@@ -28,10 +28,6 @@ void NeighborIndex::registerRadio(Radio* r) {
   radios_.push_back(r);
 }
 
-void NeighborIndex::forEachRadio(const std::function<void(Radio&)>& fn) const {
-  for (Radio* r : radios_) fn(*r);
-}
-
 Vec2 NeighborIndex::positionAt(net::NodeId id, sim::Time t) const {
   const std::uint32_t slot = slotById_.at(id);
   return slotPosition(slot, t);

@@ -23,13 +23,11 @@
 //     order, and runs stay byte-identical whichever index is selected.
 //
 // Consumers beyond Channel::transmit (the channel's carrier sense, the link
-// oracle's ground-truth checks, the fault injector's radio-wide sweeps and
-// neighbor-aware blackout targeting, Network::positionOf) use the same query
-// API instead of reaching into radio lists directly.
+// oracle's ground-truth checks, Network::positionOf) use the same query API
+// instead of reaching into radio lists directly.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -93,9 +91,6 @@ class NeighborIndex {
   /// `phy.examined_per_query`). A full scan examines everyone but the
   /// excluded sender; the grid examines only the candidate cells.
   virtual std::size_t lastExamined() const = 0;
-
-  /// Visit every attached radio in attach order (fault sweeps, tests).
-  void forEachRadio(const std::function<void(Radio&)>& fn) const;
 
   std::size_t size() const { return radios_.size(); }
   virtual const char* name() const = 0;

@@ -91,14 +91,6 @@ void Radio::rxEnd(std::uint64_t txId, const mac::Frame& f) {
     ++framesCorrupted_;
     return;
   }
-  // Injected channel noise (fault layer): an otherwise-intact frame is lost
-  // with noiseProb_. Zero probability (the default) draws nothing, keeping
-  // no-fault runs bit-identical.
-  if (noiseProb_ > 0.0 && noiseRng_ != nullptr &&
-      noiseRng_->bernoulli(noiseProb_)) {
-    ++framesNoiseCorrupted_;
-    return;
-  }
   ++framesDelivered_;
   if (rxHandler_) rxHandler_(f);
 }

@@ -9,7 +9,6 @@
 #include "src/mac/frame.h"
 #include "src/mobility/mobility_model.h"
 #include "src/net/packet.h"
-#include "src/sim/rng.h"
 #include "src/sim/scheduler.h"
 
 namespace manet::phy {
@@ -53,13 +52,6 @@ class Radio {
   /// and nothing is received; going down also kills in-flight receptions.
   void setUp(bool up);
   bool up() const { return up_; }
-  /// Corrupt each otherwise-intact reception with probability `corruptProb`
-  /// (draws from `rng`, which must outlive the setting). Probability 0
-  /// disables the draw entirely — the default costs one comparison.
-  void setNoise(double corruptProb, sim::Rng* rng) {
-    noiseProb_ = corruptProb;
-    noiseRng_ = rng;
-  }
 
   // --- called by Channel ---
   /// `senderDistance` is the transmitter's distance at tx start, used for
@@ -70,7 +62,6 @@ class Radio {
   // --- introspection for tests ---
   std::uint64_t framesDelivered() const { return framesDelivered_; }
   std::uint64_t framesCorrupted() const { return framesCorrupted_; }
-  std::uint64_t framesNoiseCorrupted() const { return framesNoiseCorrupted_; }
 
  private:
   struct OngoingRx {
@@ -87,11 +78,8 @@ class Radio {
   sim::Time txEnd_ = sim::Time::zero();
   std::vector<OngoingRx> ongoing_;
   bool up_ = true;
-  double noiseProb_ = 0.0;
-  sim::Rng* noiseRng_ = nullptr;
   std::uint64_t framesDelivered_ = 0;
   std::uint64_t framesCorrupted_ = 0;
-  std::uint64_t framesNoiseCorrupted_ = 0;
 };
 
 }  // namespace manet::phy

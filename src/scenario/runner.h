@@ -10,8 +10,9 @@
 //    onRun observation and export all happen after the barrier, in plan
 //    order x seed order — so aggregates, exported JSON/CSV and table rows
 //    are byte-identical regardless of --jobs.
-//  * Exported per-run entries exclude volatile fields (wall_seconds,
-//    profile); wall time is reported only on the SweepResult itself.
+//  * Exported per-run entries exclude volatile fields (wall time, the
+//    profile): wall time is reported only on the SweepResult itself, and a
+//    profiled run's profile goes to its own `<label>.r<N>.profile.json`.
 #pragma once
 
 #include <functional>

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/fault/fault_injector.h"
 #include "src/mobility/waypoint.h"
 #include "src/sim/rng.h"
 #include "src/util/logging.h"
@@ -156,9 +155,6 @@ Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg) {
   // Faults go in after nodes and sources exist; an empty plan installs
   // nothing and the run stays bit-identical to a fault-free build.
   network_->installFaults(cfg_.fault, cfg_.duration);
-  if (fault::FaultInjector* fi = network_->faults()) {
-    for (const auto& s : sources_) fi->attachTrafficSource(s.get());
-  }
   if (checker_) scheduleCacheConsistencySweep(sim::Time::seconds(1));
 }
 

@@ -59,9 +59,9 @@ struct ScenarioConfig {
   /// recompiling (see src/telemetry/telemetry_config.h).
   telemetry::TelemetryConfig telemetry = telemetry::TelemetryConfig::fromEnv();
 
-  /// Injected adversities (node churn, blackouts, noise, surges); the
-  /// default picks up MANET_FAULT_* environment overrides and is otherwise
-  /// empty — an empty plan is a strict no-op (bit-identical runs).
+  /// Injected node crashes (scripted and churn); the default picks up
+  /// MANET_FAULT_* environment overrides and is otherwise empty — an empty
+  /// plan is a strict no-op (bit-identical runs).
   fault::FaultPlan fault = fault::FaultPlan::fromEnv();
 
   /// Self-profiling knobs (per-category wall-time attribution); defaults

@@ -88,9 +88,7 @@ CausalRecord toCausalRecord(const TraceRecord& r) {
 void CausalIndex::add(const TraceRecord& r) { add(toCausalRecord(r)); }
 
 bool isFaultEvent(std::string_view event) {
-  return event == "node_crash" || event == "node_recover" ||
-         event == "link_blackout" || event == "noise_burst" ||
-         event == "traffic_surge";
+  return event == "node_crash" || event == "node_recover";
 }
 
 std::vector<const CausalRecord*> CausalIndex::packetRecords(
@@ -163,20 +161,12 @@ void appendRecordLine(std::string& out, const CausalRecord& r) {
 
 /// One fault-timeline entry in words.
 void appendFaultLine(std::string& out, const CausalRecord& r) {
-  const double windowSec = static_cast<double>(r.detail) / 1e9;
   appendf(out, "  t=%9.3f s  ", r.t);
   if (r.event == "node_crash") {
     appendf(out, "node %u crashed\n", r.node);
-  } else if (r.event == "node_recover") {
+  } else {
     appendf(out, "node %u recovered%s\n", r.node,
             r.detail != 0 ? " (caches wiped)" : "");
-  } else if (r.event == "link_blackout") {
-    appendf(out, "link %u->%u blacked out for %.3f s\n", r.src, r.dst,
-            windowSec);
-  } else if (r.event == "noise_burst") {
-    appendf(out, "noise burst for %.3f s\n", windowSec);
-  } else {
-    appendf(out, "traffic surge for %.3f s\n", windowSec);
   }
 }
 

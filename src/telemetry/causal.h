@@ -66,8 +66,7 @@ bool parseCausalLine(const util::JsonValue& line, CausalRecord& out);
 /// JSONL round-trip produces). Shared by CausalIndex and the Perfetto sink.
 CausalRecord toCausalRecord(const TraceRecord& r);
 
-/// True for fault-plan events (node_crash, node_recover, link_blackout,
-/// noise_burst, traffic_surge).
+/// True for fault-plan events (node_crash, node_recover).
 bool isFaultEvent(std::string_view event);
 
 /// Stale-drop attribution: data-packet drops whose route failed underneath

@@ -100,21 +100,15 @@ std::string metricsJson(const metrics::Metrics& m, sim::Time duration) {
   return out;
 }
 
-std::string runResultJson(const scenario::RunResult& r,
-                          bool includeVolatile) {
+std::string runResultJson(const scenario::RunResult& r) {
   std::string out = "{";
   kv(out, "duration_s", r.duration.toSeconds(), /*first=*/true);
   kv(out, "events_executed", r.eventsExecuted);
-  if (includeVolatile) kv(out, "wall_seconds", r.wallSeconds);
   // Scheduler pressure counters are tracked unconditionally, so they are
   // exported even when full profiling is off.
   kv(out, "sched_queue_peak", r.schedQueuePeak);
   kv(out, "sched_total_dispatched", r.eventsExecuted);
   kv(out, "samples", static_cast<std::uint64_t>(r.series.size()));
-  if (includeVolatile && r.profile.enabled) {
-    out += ",\"profile\":";
-    out += prof::toJson(r.profile);
-  }
   out += ",\"metrics\":";
   out += metricsJson(r.metrics, r.duration);
   out += '}';
@@ -163,10 +157,7 @@ std::string aggregateJson(const scenario::AggregateResult& agg,
   out += "},\"runs\":[";
   for (std::size_t i = 0; i < agg.runs.size(); ++i) {
     if (i > 0) out += ',';
-    // Volatile-free per-run entries: aggregate artifacts must be a pure
-    // function of the configuration, byte-identical across hosts, repeat
-    // runs, and sweep job counts (the parallel-determinism tests diff them).
-    out += runResultJson(agg.runs[i], /*includeVolatile=*/false);
+    out += runResultJson(agg.runs[i]);
   }
   out += "]}";
   return out;
@@ -206,9 +197,16 @@ int exportAggregate(const scenario::AggregateResult& agg,
     ++written;
   }
   for (std::size_t i = 0; i < agg.runs.size(); ++i) {
-    if (agg.runs[i].series.empty()) continue;
-    if (writeFile(base + ".r" + std::to_string(i) + ".series.csv",
-                  seriesCsv(agg.runs[i].series))) {
+    const scenario::RunResult& r = agg.runs[i];
+    const std::string run = base + ".r" + std::to_string(i);
+    if (!r.series.empty() &&
+        writeFile(run + ".series.csv", seriesCsv(r.series))) {
+      ++written;
+    }
+    // Wall times vary from host to host, so the profile goes beside the
+    // deterministic aggregate, never into it.
+    if (r.profile.enabled &&
+        writeFile(run + ".profile.json", prof::toJson(r.profile))) {
       ++written;
     }
   }

@@ -19,19 +19,16 @@ namespace manet::telemetry {
 /// object.
 std::string metricsJson(const metrics::Metrics& m, sim::Time duration);
 
-/// One run: duration, event count, wall time, metrics. When
-/// `includeVolatile` is false, host-dependent fields (wall_seconds and the
-/// wall-time profile block) are omitted so two same-seed runs — in the same
-/// process or separate ones — must produce byte-identical JSON; the replay
-/// regression test diffs exactly this form.
-std::string runResultJson(const scenario::RunResult& r,
-                          bool includeVolatile = true);
+/// One run: duration, event count, scheduler counters, metrics. Nothing
+/// host-dependent (wall time, the profile) is written, so two same-seed
+/// runs — in the same process or separate ones — produce byte-identical
+/// JSON; the replay regression test diffs exactly this form.
+std::string runResultJson(const scenario::RunResult& r);
 
 /// A replicated experiment: label, scenario parameters, per-metric
-/// aggregate statistics (mean/stddev/min/max/n) and every run's metrics.
-/// Per-run entries are volatile-free (no wall_seconds / profile block), so
-/// the artifact is a pure function of the configuration — byte-identical
-/// across hosts, repeat runs, and sweep job counts.
+/// aggregate statistics (mean/stddev/min/max/n) and every run's
+/// runResultJson, so the artifact is a pure function of the configuration —
+/// byte-identical across hosts, repeat runs, and sweep job counts.
 std::string aggregateJson(const scenario::AggregateResult& agg,
                           const scenario::ScenarioConfig& cfg,
                           std::string_view label);
@@ -45,9 +42,11 @@ std::string seriesCsv(const SampleSeries& s);
 /// logs to stderr) on failure.
 bool writeFile(const std::string& path, std::string_view content);
 
-/// Write `<dir>/<label>.json` (aggregate + runs) and, for every run with a
-/// non-empty sampled series, `<dir>/<label>.r<N>.series.csv`. No-op when
-/// cfg.telemetry.exportDir is empty. Returns the number of files written.
+/// Write `<dir>/<label>.json` (aggregate + runs); for every run with a
+/// non-empty sampled series, `<dir>/<label>.r<N>.series.csv`; and for every
+/// profiled run, its wall-time profile (prof::toJson) as
+/// `<dir>/<label>.r<N>.profile.json`. No-op when cfg.telemetry.exportDir is
+/// empty. Returns the number of files written.
 int exportAggregate(const scenario::AggregateResult& agg,
                     const scenario::ScenarioConfig& cfg,
                     std::string_view label);

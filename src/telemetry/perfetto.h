@@ -6,9 +6,9 @@
 //    record becomes an instant event at its simulated time (microsecond
 //    timestamps), with uid / cause / provenance fields in args so the
 //    timeline is clickable back into the causal index.
-//  * pid 1, global-scope instants — fault-plan events (crash, recover,
-//    blackout, noise, surge) span the whole view so cache-behaviour shifts
-//    line up with the adversity that caused them.
+//  * pid 1, global-scope instants — fault-plan events (node crash and
+//    recover) span the whole view so cache-behaviour shifts line up with
+//    the crash that caused them.
 //  * pid 2 "scheduler" — one thread track per prof::Category; each captured
 //    dispatch span (sim::Scheduler::dispatchSpans) becomes a complete event
 //    whose timestamp is the handler's *simulated* time and whose duration

@@ -46,12 +46,6 @@ const char* toString(TraceEvent e) {
       return "node_crash";
     case TraceEvent::kNodeRecover:
       return "node_recover";
-    case TraceEvent::kLinkBlackout:
-      return "link_blackout";
-    case TraceEvent::kNoiseBurst:
-      return "noise_burst";
-    case TraceEvent::kTrafficSurge:
-      return "traffic_surge";
   }
   return "unknown";
 }

@@ -51,13 +51,9 @@ enum class TraceEvent : std::uint8_t {
   kLinkBreak,       // MAC retry exhaustion (detail: 1 = false positive,
                     // link geometrically still up)
   kLog,             // util::log line captured into the trace (detail: level)
-  // Fault-injection events (src/fault/). Window events carry the window
-  // length in `detail` (nanoseconds).
-  kNodeCrash,       // node's radio went down (fault injection)
+  // Fault-injection events (src/fault/).
+  kNodeCrash,       // node's radio went down
   kNodeRecover,     // node's radio came back up (detail: 1 = caches wiped)
-  kLinkBlackout,    // directed link src->dst blocked for `detail` ns
-  kNoiseBurst,      // global frame-corruption burst for `detail` ns
-  kTrafficSurge,    // CBR rate multiplier applied for `detail` ns
 };
 const char* toString(TraceEvent e);
 

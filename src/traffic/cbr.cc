@@ -18,14 +18,8 @@ void CbrSource::tick() {
   if (sched_.now() > params_.stop) return;
   agent_.sendData(params_.dst, params_.payloadBytes, params_.flowId, sent_);
   ++sent_;
-  const sim::Time next =
-      rateMultiplier_ == 1.0
-          ? interval_
-          // manet-lint: allow(float-time): surge rate -> interval, fixed-op
-          : sim::Time::fromSeconds(
-                1.0 / (params_.packetsPerSecond * rateMultiplier_));
   sched_.scheduleAfter(
-      next, [this] { tick(); }, prof::Category::kTraffic);
+      interval_, [this] { tick(); }, prof::Category::kTraffic);
 }
 
 }  // namespace manet::traffic

@@ -31,12 +31,6 @@ class CbrSource {
 
   std::uint64_t packetsSent() const { return sent_; }
 
-  /// Fault injection (traffic surge): scale the send rate by `m` from the
-  /// next tick on. Multiplier 1 restores the precomputed base interval
-  /// exactly, so surge-free runs stay bit-identical.
-  void setRateMultiplier(double m) { rateMultiplier_ = m; }
-  double rateMultiplier() const { return rateMultiplier_; }
-
  private:
   void tick();
 
@@ -44,7 +38,6 @@ class CbrSource {
   sim::Scheduler& sched_;
   Params params_;
   sim::Time interval_;
-  double rateMultiplier_ = 1.0;
   std::uint64_t sent_ = 0;
 };
 

@@ -1,5 +1,5 @@
-// FaultInjector semantics: crash/recover, blackouts, noise, surges, and the
-// strict no-op guarantee of an empty plan.
+// FaultInjector semantics: scripted crash/recover, churn, and the strict
+// no-op guarantee of an empty plan.
 #include "src/fault/fault_injector.h"
 
 #include <gtest/gtest.h>
@@ -7,28 +7,15 @@
 #include "src/fault/fault_plan.h"
 #include "src/traffic/cbr.h"
 #include "tests/testing/dsr_fixture.h"
+#include "tests/testing/fault_events.h"
 
 namespace manet::fault {
 namespace {
 
+using manet::testing::crashAt;
 using manet::testing::DsrFixture;
+using manet::testing::recoverAt;
 using sim::Time;
-
-FaultEvent crashAt(Time at, net::NodeId node) {
-  FaultEvent ev;
-  ev.kind = FaultKind::kNodeCrash;
-  ev.at = at;
-  ev.node = node;
-  return ev;
-}
-
-FaultEvent recoverAt(Time at, net::NodeId node) {
-  FaultEvent ev;
-  ev.kind = FaultKind::kNodeRecover;
-  ev.at = at;
-  ev.node = node;
-  return ev;
-}
 
 traffic::CbrSource::Params cbrParams(net::NodeId dst, double pps, Time start,
                                      Time stop) {
@@ -148,76 +135,6 @@ TEST(FaultInjectorTest, RecoveryKeepsCachesWhenWipeDisabled) {
   fx.run(Time::seconds(10));
 }
 
-TEST(FaultInjectorTest, BlackoutWindowStopsDelivery) {
-  DsrFixture fx;
-  fx.addLine(2);
-  FaultPlan plan;
-  FaultEvent ev;
-  ev.kind = FaultKind::kLinkBlackout;
-  ev.at = Time::seconds(5);
-  ev.node = 0;
-  ev.peer = 1;
-  ev.duration = Time::seconds(10);
-  plan.scripted = {ev};
-  fx.network->installFaults(plan, Time::seconds(22));
-  traffic::CbrSource src(fx.dsr(0), fx.network->scheduler(),
-                         cbrParams(1, 10.0, Time::millis(1),
-                                   Time::seconds(20)));
-  fx.run(Time::seconds(22));
-  EXPECT_EQ(fx.metrics().faultLinkBlackouts, 1u);
-  // Same shape as the crash test: the 10 s window must cost deliveries,
-  // and traffic must flow again once it closes.
-  EXPECT_LT(fx.metrics().dataDelivered, 160u);
-  EXPECT_GT(fx.metrics().dataDelivered, 80u);
-}
-
-TEST(FaultInjectorTest, NoiseBurstCorruptsFrames) {
-  DsrFixture fx;
-  fx.addLine(2);
-  FaultPlan plan;
-  FaultEvent ev;
-  ev.kind = FaultKind::kNoiseBurst;
-  ev.at = Time::seconds(2);
-  ev.duration = Time::seconds(6);
-  ev.value = 1.0;  // certain corruption: nothing gets through
-  plan.scripted = {ev};
-  fx.network->installFaults(plan, Time::seconds(15));
-  traffic::CbrSource src(fx.dsr(0), fx.network->scheduler(),
-                         cbrParams(1, 10.0, Time::millis(1),
-                                   Time::seconds(14)));
-  fx.run(Time::seconds(15));
-  EXPECT_EQ(fx.metrics().faultNoiseBursts, 1u);
-  EXPECT_GT(fx.network->node(1).radio().framesNoiseCorrupted(), 0u);
-  EXPECT_LT(fx.metrics().dataDelivered, fx.metrics().dataOriginated);
-}
-
-TEST(FaultInjectorTest, TrafficSurgeMultipliesCbrRate) {
-  const auto packetsWithSurge = [](double multiplier) {
-    DsrFixture fx;
-    fx.addLine(2);
-    FaultPlan plan;
-    if (multiplier > 1.0) {
-      FaultEvent ev;
-      ev.kind = FaultKind::kTrafficSurge;
-      ev.at = Time::seconds(1);
-      ev.duration = Time::seconds(10);
-      ev.value = multiplier;
-      plan.scripted = {ev};
-    }
-    fx.network->installFaults(plan, Time::seconds(14));
-    auto src = std::make_unique<traffic::CbrSource>(
-        fx.dsr(0), fx.network->scheduler(),
-        cbrParams(1, 2.0, Time::millis(1), Time::seconds(12)));
-    if (auto* fi = fx.network->faults()) fi->attachTrafficSource(src.get());
-    fx.run(Time::seconds(14));
-    return src->packetsSent();
-  };
-  const auto baseline = packetsWithSurge(1.0);
-  const auto surged = packetsWithSurge(3.0);
-  // 10 of 12 sending seconds run at 3x the rate.
-  EXPECT_GT(surged, baseline + baseline / 2);
-}
-
 TEST(FaultInjectorTest, ChurnGeneratorCyclesNodes) {
   DsrFixture fx;
   fx.addLine(6);
@@ -243,9 +160,8 @@ TEST(FaultInjectorTest, StochasticGeneratorsAreSeedDeterministic) {
     plan.churn.fraction = 0.4;
     plan.churn.meanUpTimeSec = 3.0;
     plan.churn.meanDownTimeSec = 1.0;
-    plan.blackout.meanGapSec = 4.0;
-    plan.noise.meanGapSec = 6.0;
-    plan.noise.corruptProb = 0.5;
+    plan.scripted = {crashAt(Time::seconds(10), 2),
+                     recoverAt(Time::seconds(14), 2)};
     plan.seed = 99;
     fx.network->installFaults(plan, Time::seconds(40));
     traffic::CbrSource src(fx.dsr(0), fx.network->scheduler(),
@@ -253,12 +169,15 @@ TEST(FaultInjectorTest, StochasticGeneratorsAreSeedDeterministic) {
                                      Time::seconds(38)));
     fx.run(Time::seconds(40));
     return std::tuple{fx.metrics().faultNodeCrashes,
-                      fx.metrics().faultLinkBlackouts,
-                      fx.metrics().faultNoiseBursts,
+                      fx.metrics().faultNodeRecoveries,
+                      fx.metrics().dropNodeDown,
                       fx.metrics().dataDelivered,
                       fx.network->scheduler().executedCount()};
   };
-  EXPECT_EQ(runOnce(), runOnce());
+  const auto a = runOnce();
+  EXPECT_EQ(a, runOnce());
+  EXPECT_GT(std::get<0>(a), 1u);  // churn crashes on top of the scripted one
+  EXPECT_GT(std::get<1>(a), 0u);
 }
 
 }  // namespace

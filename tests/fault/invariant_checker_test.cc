@@ -8,6 +8,7 @@
 
 #include "src/core/dsr_config.h"
 #include "src/scenario/scenario.h"
+#include "tests/testing/fault_events.h"
 
 namespace manet::fault {
 namespace {
@@ -164,15 +165,23 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(InvariantCheckerTest, AllFaultClassesTogetherStayConsistent) {
   auto cfg = churnScenario(core::makeVariantConfig(core::Variant::kAll));
   cfg.duration = Time::seconds(40);
-  cfg.fault.blackout.meanGapSec = 8.0;
-  cfg.fault.noise.meanGapSec = 10.0;
-  cfg.fault.noise.meanDurationSec = 0.5;
-  cfg.fault.noise.corruptProb = 0.3;
-  cfg.fault.surge.meanGapSec = 10.0;
-  cfg.fault.surge.meanDurationSec = 3.0;
+  cfg.fault.churn.fraction = 0.3;
+  cfg.fault.churn.meanUpTimeSec = 8.0;
+  cfg.fault.churn.meanDownTimeSec = 2.0;
+  // Scripted crashes and recoveries on top of churn, including a repeated
+  // crash and a recovery of a node that is already up (both no-ops).
+  for (net::NodeId id = 0; id < 20; id += 4) {
+    cfg.fault.scripted.push_back(testing::crashAt(Time::seconds(5), id));
+    cfg.fault.scripted.push_back(testing::crashAt(Time::seconds(7), id));
+    cfg.fault.scripted.push_back(testing::recoverAt(Time::seconds(12), id));
+    cfg.fault.scripted.push_back(testing::recoverAt(Time::seconds(13), id));
+  }
   scenario::Scenario s(cfg);
-  ASSERT_NO_THROW(s.run());
+  scenario::RunResult r;
+  ASSERT_NO_THROW(r = s.run());
   EXPECT_TRUE(s.checker()->violations().empty());
+  EXPECT_GE(r.metrics.faultNodeCrashes, 5u);
+  EXPECT_GT(r.metrics.faultNodeRecoveries, 0u);
 }
 
 TEST(InvariantCheckerTest, EnvKnobParsesZeroAndOne) {

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "src/scenario/scenario.h"
+#include "tests/testing/fault_events.h"
 
 namespace manet::scenario {
 namespace {
@@ -28,9 +29,6 @@ void expectIdentical(const metrics::Metrics& a, const metrics::Metrics& b) {
   EXPECT_EQ(a.dropNodeDown, b.dropNodeDown);
   EXPECT_EQ(a.faultNodeCrashes, b.faultNodeCrashes);
   EXPECT_EQ(a.faultNodeRecoveries, b.faultNodeRecoveries);
-  EXPECT_EQ(a.faultLinkBlackouts, b.faultLinkBlackouts);
-  EXPECT_EQ(a.faultNoiseBursts, b.faultNoiseBursts);
-  EXPECT_EQ(a.faultTrafficSurges, b.faultTrafficSurges);
   EXPECT_EQ(a.dataOriginated, b.dataOriginated);
   EXPECT_EQ(a.dataDelivered, b.dataDelivered);
   EXPECT_EQ(a.delaySumSec, b.delaySumSec);
@@ -64,9 +62,9 @@ TEST(DeterminismTest, DifferentMobilitySeedChangesOutcome) {
 }
 
 TEST(DeterminismTest, StochasticFaultPlanIsSeedDeterministic) {
-  // A fully loaded stochastic plan (churn + blackouts + noise + surges)
-  // must not break reproducibility: metrics, event counts, AND the
-  // ring-trace contents are bit-identical across same-seed runs.
+  // Churn plus scripted crashes must not break reproducibility: metrics,
+  // event counts, AND the ring-trace contents are bit-identical across
+  // same-seed runs.
   ScenarioConfig c = cfg();
   c.telemetry = telemetry::TelemetryConfig{};
   c.telemetry.ringCapacity = 200000;
@@ -74,10 +72,10 @@ TEST(DeterminismTest, StochasticFaultPlanIsSeedDeterministic) {
   c.fault.churn.fraction = 0.2;
   c.fault.churn.meanUpTimeSec = 8.0;
   c.fault.churn.meanDownTimeSec = 2.0;
-  c.fault.blackout.meanGapSec = 5.0;
-  c.fault.noise.meanGapSec = 7.0;
-  c.fault.noise.meanDurationSec = 0.5;
-  c.fault.surge.meanGapSec = 9.0;
+  c.fault.scripted = {testing::crashAt(Time::seconds(6), 3),
+                      testing::crashAt(Time::seconds(6), 9),
+                      testing::recoverAt(Time::seconds(15), 3),
+                      testing::recoverAt(Time::seconds(15), 9)};
   c.fault.seed = 17;
 
   Scenario sa(c);
@@ -88,6 +86,7 @@ TEST(DeterminismTest, StochasticFaultPlanIsSeedDeterministic) {
   expectIdentical(a.metrics, b.metrics);
   EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
   EXPECT_GT(a.metrics.faultNodeCrashes, 0u);
+  EXPECT_GT(a.metrics.faultNodeRecoveries, 0u);
 
   ASSERT_NE(sa.ring(), nullptr);
   ASSERT_NE(sb.ring(), nullptr);

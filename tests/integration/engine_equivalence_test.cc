@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/scenario/scenario.h"
+#include "tests/testing/fault_events.h"
 
 namespace manet::scenario {
 namespace {
@@ -84,20 +85,17 @@ TEST(EngineEquivalenceTest, ScanAndGridDeliverByteIdenticalRuns) {
 
 TEST(EngineEquivalenceTest, ScanAndGridAgreeUnderFaults) {
   // Pause 0 keeps every radio moving, so the grid advances cached pieces
-  // all run long. Churn, in-range blackouts and noise bursts run the fault
-  // injector's forEachInRange/forEachRadio calls and the per-receiver
-  // linkBlocked path on both indexes.
+  // all run long. Churn and scripted crashes take radios off the air and
+  // back while both indexes keep answering for them.
   const auto faults = [](ScenarioConfig& c) {
     c.pause = Time::zero();
     c.fault.churn.fraction = 0.2;
     c.fault.churn.meanUpTimeSec = 8.0;
     c.fault.churn.meanDownTimeSec = 3.0;
-    c.fault.blackout.meanGapSec = 1.5;
-    c.fault.blackout.meanDurationSec = 2.0;
-    c.fault.blackout.inRangeOnly = true;
-    c.fault.noise.meanGapSec = 6.0;
-    c.fault.noise.meanDurationSec = 1.0;
-    c.fault.noise.corruptProb = 0.3;
+    for (net::NodeId id : {1u, 6u, 11u}) {
+      c.fault.scripted.push_back(testing::crashAt(Time::seconds(4), id));
+      c.fault.scripted.push_back(testing::recoverAt(Time::seconds(12), id));
+    }
   };
   const Capture scan = run([&](ScenarioConfig& c) {
     faults(c);
@@ -109,8 +107,7 @@ TEST(EngineEquivalenceTest, ScanAndGridAgreeUnderFaults) {
   });
   EXPECT_GT(scan.result.metrics.dataDelivered, 0u);
   EXPECT_GT(scan.result.metrics.faultNodeCrashes, 0u);
-  EXPECT_GT(scan.result.metrics.faultLinkBlackouts, 0u);
-  EXPECT_GT(scan.result.metrics.faultNoiseBursts, 0u);
+  EXPECT_GT(scan.result.metrics.faultNodeRecoveries, 0u);
   expectIdentical(scan, grid);
 }
 

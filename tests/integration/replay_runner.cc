@@ -102,8 +102,7 @@ int main(int argc, char** argv) {
   c.fault.seed = 99;
 
   const scenario::RunResult r = scenario::runScenario(c);
-  const std::string json =
-      telemetry::runResultJson(r, /*includeVolatile=*/false) + "\n";
+  const std::string json = telemetry::runResultJson(r) + "\n";
   if (!telemetry::writeFile(outBase + ".json", json)) return 1;
   if (!telemetry::writeFile(outBase + ".series.csv",
                             telemetry::seriesCsv(r.series))) {

@@ -11,6 +11,7 @@
 
 #include "src/scenario/scenario.h"
 #include "src/telemetry/trace_reader.h"
+#include "tests/testing/fault_events.h"
 
 namespace manet {
 namespace {
@@ -109,8 +110,9 @@ TEST(TraceReconcileTest, FaultedRunReconcilesIncludingNodeDownDrops) {
   cfg.fault.churn.fraction = 0.2;
   cfg.fault.churn.meanUpTimeSec = 10.0;
   cfg.fault.churn.meanDownTimeSec = 3.0;
-  cfg.fault.noise.meanGapSec = 15.0;
-  cfg.fault.noise.meanDurationSec = 0.5;
+  // A scripted crash of a busy relay on top of churn.
+  cfg.fault.scripted = {testing::crashAt(Time::seconds(20), 5),
+                        testing::recoverAt(Time::seconds(30), 5)};
   const scenario::RunResult r = scenario::runScenario(cfg);
   const metrics::Metrics& m = r.metrics;
 
@@ -119,7 +121,7 @@ TEST(TraceReconcileTest, FaultedRunReconcilesIncludingNodeDownDrops) {
   ASSERT_TRUE(read->errors.empty()) << read->errors.front();
 
   std::map<std::string, std::uint64_t> dropsByReason;
-  std::uint64_t crashes = 0, recoveries = 0, bursts = 0;
+  std::uint64_t crashes = 0, recoveries = 0;
   for (const telemetry::CausalRecord& rec : read->records) {
     if (rec.event == "pkt_drop") {
       ASSERT_FALSE(rec.reason.empty()) << "drop at t=" << rec.t;
@@ -128,8 +130,6 @@ TEST(TraceReconcileTest, FaultedRunReconcilesIncludingNodeDownDrops) {
       ++crashes;
     } else if (rec.event == "node_recover") {
       ++recoveries;
-    } else if (rec.event == "noise_burst") {
-      ++bursts;
     }
   }
 
@@ -137,7 +137,6 @@ TEST(TraceReconcileTest, FaultedRunReconcilesIncludingNodeDownDrops) {
   EXPECT_EQ(dropsByReason["node_down"], m.dropNodeDown);
   EXPECT_EQ(crashes, m.faultNodeCrashes);
   EXPECT_EQ(recoveries, m.faultNodeRecoveries);
-  EXPECT_EQ(bursts, m.faultNoiseBursts);
   std::uint64_t tracedDrops = 0;
   for (const auto& [reason, n] : dropsByReason) tracedDrops += n;
   EXPECT_EQ(tracedDrops, m.totalDropped());

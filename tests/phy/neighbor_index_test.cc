@@ -323,8 +323,10 @@ TEST(NeighborIndexTest, ForEachRadioVisitsAllInAttachOrder) {
         makeNeighborIndex(kind, fx.sched, 250.0, 20.0, Time::seconds(1));
     fx.attachAll(*index);
     EXPECT_EQ(index->size(), 7u);
+    // A range covering every radio visits all of them, in attach order.
     std::vector<net::NodeId> seen;
-    index->forEachRadio([&](Radio& r) { seen.push_back(r.id()); });
+    index->forEachInRange(Vec2{300.0, 0.0}, 1000.0, Time::zero(), nullptr,
+                          [&](Radio& r, double) { seen.push_back(r.id()); });
     EXPECT_EQ(seen, (std::vector<net::NodeId>{0, 1, 2, 3, 4, 5, 6}));
   }
 }

@@ -148,46 +148,12 @@ TEST(FaultPlanValidate, RejectsNonPositiveChurnTimes) {
   expectRejected(cfg, "fault plan: churn.meanUpTimeSec");
 }
 
-TEST(FaultPlanValidate, RejectsBlackoutsOnTooFewNodes) {
-  auto cfg = validConfig();
-  cfg.numNodes = 1;
-  cfg.numFlows = 0;
-  cfg.fault.blackout.meanGapSec = 5.0;
-  expectRejected(cfg, "fault plan: link blackouts need at least 2 nodes");
-}
-
-TEST(FaultPlanValidate, RejectsBadNoiseProbability) {
-  auto cfg = validConfig();
-  cfg.fault.noise.meanGapSec = 5.0;
-  cfg.fault.noise.corruptProb = 0.0;
-  expectRejected(cfg, "fault plan: noise.corruptProb");
-}
-
-TEST(FaultPlanValidate, RejectsBadSurgeMultiplier) {
-  auto cfg = validConfig();
-  cfg.fault.surge.meanGapSec = 5.0;
-  cfg.fault.surge.rateMultiplier = 0.0;
-  expectRejected(cfg, "fault plan: surge.rateMultiplier");
-}
-
 TEST(FaultPlanValidate, RejectsScriptedEventNodeOutOfRange) {
   auto cfg = validConfig();
   fault::FaultEvent ev;
   ev.kind = fault::FaultKind::kNodeCrash;
   ev.at = sim::Time::seconds(1);
   ev.node = 99;  // numNodes is 10
-  cfg.fault.scripted.push_back(ev);
-  expectRejected(cfg, "fault plan:");
-}
-
-TEST(FaultPlanValidate, RejectsSelfBlackout) {
-  auto cfg = validConfig();
-  fault::FaultEvent ev;
-  ev.kind = fault::FaultKind::kLinkBlackout;
-  ev.at = sim::Time::seconds(1);
-  ev.node = 3;
-  ev.peer = 3;
-  ev.duration = sim::Time::seconds(1);
   cfg.fault.scripted.push_back(ev);
   expectRejected(cfg, "fault plan:");
 }

@@ -246,11 +246,9 @@ TEST(CausalTest, RenderSummaryCountsFlowsFaultsAndTotals) {
   idx.add(crash);
   idx.add(packetRec(1.2, "pkt_deliver", 1, 1));
   idx.add(packetRec(1.3, "pkt_drop", 1, 1, "mac_duplicate"));
-  CausalRecord blackout = rec(2.0, "link_blackout", 0);
-  blackout.src = 2;
-  blackout.dst = 7;
-  blackout.detail = 1'500'000'000;  // window length in ns
-  idx.add(blackout);
+  CausalRecord crash7 = rec(2.0, "node_crash", 0);
+  crash7.node = 7;
+  idx.add(crash7);
   idx.add(packetRec(2.5, "pkt_drop", 2, 2, "link_fail_no_salvage"));
   CausalRecord recover = rec(3.0, "node_recover", 0);
   recover.node = 4;
@@ -263,8 +261,7 @@ TEST(CausalTest, RenderSummaryCountsFlowsFaultsAndTotals) {
             "packet-scoped 6, with cause link 0, with provenance 0\n"
             "\n"
             "event totals:\n"
-            "  link_blackout               1\n"
-            "  node_crash                  1\n"
+            "  node_crash                  2\n"
             "  node_recover                1\n"
             "  pkt_deliver                 1\n"
             "  pkt_drop                    2\n"
@@ -276,7 +273,7 @@ TEST(CausalTest, RenderSummaryCountsFlowsFaultsAndTotals) {
             "\n"
             "fault timeline (3 events):\n"
             "  t=    1.000 s  node 4 crashed\n"
-            "  t=    2.000 s  link 2->7 blacked out for 1.500 s\n"
+            "  t=    2.000 s  node 7 crashed\n"
             "  t=    3.000 s  node 4 recovered (caches wiped)\n"
             "\n"
             "per-flow lifecycle (flow: originated -> delivered, drops by"
@@ -293,10 +290,15 @@ TEST(CausalTest, RenderSummaryCountsFlowsFaultsAndTotals) {
 
 TEST(CausalTest, RenderSummaryCapsFaultTimelineAtForty) {
   CausalIndex idx;
-  for (int i = 0; i < 42; ++i) idx.add(rec(i, "noise_burst", 0));
+  for (int i = 0; i < 42; ++i) {
+    CausalRecord r = rec(i, i % 2 == 0 ? "node_crash" : "node_recover", 0);
+    r.node = static_cast<net::NodeId>(i / 2);
+    idx.add(r);
+  }
   const std::string out = idx.renderSummary();
   EXPECT_NE(out.find("fault timeline (42 events):\n"), std::string::npos);
-  EXPECT_NE(out.find("  t=   39.000 s  noise burst for 0.000 s\n"
+  EXPECT_NE(out.find("  t=   38.000 s  node 19 crashed\n"
+                     "  t=   39.000 s  node 19 recovered\n"
                      "  ... 2 more\n"),
             std::string::npos);
   EXPECT_EQ(out.find("t=   40.000 s"), std::string::npos);

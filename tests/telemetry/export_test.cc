@@ -108,6 +108,35 @@ TEST(ExportTest, RunReplicatedExportsAggregateAndSeries) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ExportTest, ProfiledRunWritesProfileBesideAggregate) {
+  const auto exportRun = [](bool profiled) {
+    const std::string dir = ::testing::TempDir() + "/manet_export_prof" +
+                            (profiled ? "_on" : "_off");
+    std::filesystem::remove_all(dir);
+    scenario::ScenarioConfig cfg = tinyScenario();
+    cfg.prof = prof::ProfConfig{};
+    cfg.prof.enabled = profiled;
+    cfg.telemetry.exportDir = dir;
+    scenario::runReplicated(cfg, 1, {}, "prof_test");
+    return dir;
+  };
+  const std::string on = exportRun(true);
+  const std::string off = exportRun(false);
+
+  const std::string profile = slurp(on + "/prof_test.r0.profile.json");
+  ASSERT_FALSE(profile.empty());
+  EXPECT_TRUE(util::parseJson(profile).has_value());
+  EXPECT_NE(profile.find("\"categories\":"), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(off + "/prof_test.r0.profile.json"));
+
+  // Wall times stay out of the aggregate: it is byte-identical either way.
+  const std::string aggOn = slurp(on + "/prof_test.json");
+  ASSERT_FALSE(aggOn.empty());
+  EXPECT_EQ(aggOn, slurp(off + "/prof_test.json"));
+  std::filesystem::remove_all(on);
+  std::filesystem::remove_all(off);
+}
+
 TEST(ExportTest, NoExportDirMeansNoFiles) {
   scenario::ScenarioConfig cfg = tinyScenario();
   const scenario::AggregateResult agg = scenario::runReplicated(cfg, 1);
