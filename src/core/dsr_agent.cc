@@ -710,11 +710,10 @@ void DsrAgent::onTap(const mac::Frame& f) {
       if (txIt == hops.end()) break;
       // We hear the transmitter, so we can reach everything downstream of
       // it: cache [self, transmitter, ...rest].
-      std::vector<net::NodeId> snooped;
-      snooped.push_back(self_);
-      snooped.insert(snooped.end(), txIt, hops.end());
-      if (!net::routeHasDuplicates(snooped)) {
-        cacheRoute(snooped, net::RouteOrigin::kSnooped);
+      snooped_.assign(1, self_);
+      snooped_.insert(snooped_.end(), txIt, hops.end());
+      if (!net::routeHasDuplicates(snooped_)) {
+        cacheRoute(snooped_, net::RouteOrigin::kSnooped);
       }
 
       // A route reply also reveals the reported route.

@@ -208,6 +208,8 @@ class DsrAgent final : public net::RoutingAgent {
   std::optional<net::LinkId> pendingRepairError_;
   std::uint32_t errorCounter_ = 0;
   std::vector<DeliveryHandler> deliveryHandlers_;
+  /// onTap's snooped route, reused across overheard frames.
+  std::vector<net::NodeId> snooped_;
 
   // Freshness-tagging extension state.
   std::uint32_t ownFreshness_ = 0;  // stamp for replies we originate as target

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/core/route_cache.h"
+
 namespace manet::core {
 
 const char* toString(Variant v) {
@@ -89,6 +91,11 @@ void validate(const DsrConfig& cfg) {
     }
   }
   if (cfg.routeCacheCapacity == 0) fail("routeCacheCapacity must be > 0");
+  if (cfg.cacheStructure == CacheStructure::kPath &&
+      cfg.routeCacheCapacity > RouteCache::kMaxCapacity) {
+    fail("routeCacheCapacity must be <= " +
+         std::to_string(RouteCache::kMaxCapacity) + " for the path cache");
+  }
   if (cfg.sendBufferCapacity == 0) fail("sendBufferCapacity must be > 0");
   if (cfg.sendBufferTimeout <= sim::Time::zero()) {
     fail("sendBufferTimeout must be > 0");

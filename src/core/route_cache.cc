@@ -1,13 +1,51 @@
 #include "src/core/route_cache.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace manet::core {
 
 RouteCache::RouteCache(net::NodeId owner, std::size_t capacity)
-    : owner_(owner), capacity_(capacity) {}
+    : owner_(owner), capacity_(capacity) {
+  if (capacity > kMaxCapacity) {
+    throw std::invalid_argument("RouteCache: capacity above " +
+                                std::to_string(kMaxCapacity));
+  }
+  std::size_t size = 2;
+  while (size < 2 * capacity) size *= 2;
+  index_.assign(size, 0);
+  indexShift_ = 64 - std::countr_zero(size);
+}
+
+void RouteCache::indexSlot(std::size_t slot) {
+  std::size_t i = home(keys_[slot].hash);
+  while (index_[i] != 0) i = nextPos(i);
+  index_[i] = static_cast<std::uint16_t>(slot + 1);
+}
+
+void RouteCache::unindexSlot(std::size_t slot) {
+  std::size_t hole = home(keys_[slot].hash);
+  while (index_[hole] != slot + 1) {
+    assert(index_[hole] != 0 && "slot missing from the path index");
+    hole = nextPos(hole);
+  }
+  // Backward shift: pull each later entry of the cluster into the hole
+  // unless the hole lies before its home (it would become unreachable).
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t j = nextPos(hole); index_[j] != 0; j = nextPos(j)) {
+    const std::size_t h = home(keys_[index_[j] - 1U].hash);
+    if (((j - h) & mask) >= ((j - hole) & mask)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole] = 0;
+}
 
 RouteCache::PathKey RouteCache::keyOf(std::span<const net::NodeId> hops) {
   PathKey k;
@@ -31,13 +69,15 @@ bool RouteCache::insert(std::span<const net::NodeId> hops, sim::Time now,
   // entered), and re-stamping provenance would hide which insertion
   // actually created the entry.
   const PathKey key = keyOf(hops);
-  for (std::size_t i = 0, s = head_; i < count_; ++i, s = nextSlot(s)) {
+  for (std::size_t i = home(key.hash); index_[i] != 0; i = nextPos(i)) {
+    const std::size_t s = index_[i] - 1U;
     if (keys_[s].hash == key.hash &&
         std::ranges::equal(ring_[s].hops, hops)) {
       return true;
     }
   }
   if (count_ >= capacity_ && count_ > 0) {  // FIFO eviction
+    unindexSlot(head_);
     head_ = nextSlot(head_);
     --count_;
     traceCacheEvent(telemetry::TraceEvent::kCacheEvict, 1);
@@ -57,6 +97,7 @@ bool RouteCache::insert(std::span<const net::NodeId> hops, sim::Time now,
   ring_[s].addedAt = now;
   ring_[s].prov = prov;
   keys_[s] = key;
+  indexSlot(s);
   ++count_;
   traceCacheInsert(prov, 1);
   return true;
@@ -122,7 +163,7 @@ std::vector<sim::Time> RouteCache::removeLink(net::LinkId link,
       }
     }
   }
-  dropUnroutable();
+  if (!affected.empty()) dropUnroutable();
   return affected;
 }
 
@@ -151,7 +192,7 @@ std::size_t RouteCache::expireUnusedSince(sim::Time cutoff) {
       }
     }
   }
-  dropUnroutable();
+  if (pruned > 0) dropUnroutable();
   // Surviving links all count as used at or after `cutoff`, and later paths
   // are added later: an older mark can never decide a later pass.
   marks_.eraseIf([cutoff](sim::Time mark) { return mark < cutoff; });
@@ -165,6 +206,7 @@ std::size_t RouteCache::expireUnusedSince(sim::Time cutoff) {
 void RouteCache::clear() {
   head_ = 0;
   count_ = 0;
+  std::ranges::fill(index_, 0);
   marks_.clear();
 }
 
@@ -194,6 +236,10 @@ void RouteCache::dropUnroutable() {
     ++kept;
   }
   count_ = kept;
+  std::ranges::fill(index_, 0);
+  for (std::size_t i = 0, s = head_; i < count_; ++i, s = nextSlot(s)) {
+    indexSlot(s);
+  }
 }
 
 }  // namespace manet::core

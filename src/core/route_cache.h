@@ -12,10 +12,12 @@
 //
 // Storage is flat: the paths live in a ring of `capacity` slots whose hop
 // vectors are reused, so FIFO eviction is O(1) and a warm cache inserts
-// without allocating. Each slot carries a hash of its hops (duplicate check)
-// and a 64-bit node-set mask (lookup and removeLink skip paths that cannot
-// match). Link-use marks are recorded only with expiry on, and each expiry
-// pass drops those older than its cutoff.
+// without allocating. Each slot carries a hash of its hops and a 64-bit
+// node-set mask (lookup and removeLink skip paths that cannot match). An
+// open-addressed table of 16-bit slot numbers, keyed by that hash, finds
+// an already-cached path without scanning the ring; it is rebuilt only
+// after a call that truncated a path. Link-use marks are recorded only
+// with expiry on, and each expiry pass drops those older than its cutoff.
 #pragma once
 
 #include <cstddef>
@@ -86,6 +88,10 @@ class RouteCache final : public RouteCacheBase {
     const RouteCache* cache_;
   };
 
+  /// Largest capacity the 16-bit path index can name.
+  static constexpr std::size_t kMaxCapacity = 0xFFFF;
+
+  /// Throws std::invalid_argument if `capacity` exceeds kMaxCapacity.
   RouteCache(net::NodeId owner, std::size_t capacity);
 
   net::NodeId owner() const { return owner_; }
@@ -158,9 +164,25 @@ class RouteCache final : public RouteCacheBase {
   }
   const CachedPath& at(std::size_t i) const { return ring_[slotOf(i)]; }
 
-  /// Cut the path in `slot` down to its first `keep` nodes.
+  /// Cut the path in `slot` down to its first `keep` nodes (the index is
+  /// stale until dropUnroutable()).
   void truncate(std::size_t slot, std::size_t keep);
+  /// After truncations: compact away paths left with fewer than two nodes
+  /// and rebuild the index over the survivors.
   void dropUnroutable();
+
+  /// Index position where a probe for `hash` starts (the hash's top bits:
+  /// FNV-1a's low bits depend only on the ids' low bits).
+  std::size_t home(std::uint64_t hash) const {
+    return static_cast<std::size_t>(hash >> indexShift_);
+  }
+  std::size_t nextPos(std::size_t i) const {
+    return (i + 1) & (index_.size() - 1);
+  }
+  /// Add / remove the index entry of live slot `slot` (keys_ must hold its
+  /// current hash).
+  void indexSlot(std::size_t slot);
+  void unindexSlot(std::size_t slot);
   sim::Time linkLastUsed(net::LinkId link, sim::Time addedAt) const;
 
   net::NodeId owner_;
@@ -169,6 +191,13 @@ class RouteCache final : public RouteCacheBase {
   /// to `capacity` slots, then wraps; vacated slots keep their hop buffers.
   std::vector<CachedPath> ring_;
   std::vector<PathKey> keys_;  // parallel to ring_
+  /// Linear-probing table over the live slots: an entry is slot + 1, 0 is
+  /// empty, and its size is the power of two at least 2 * capacity. Each
+  /// live slot has its own entry, so two equal paths (a truncation can
+  /// leave them) are both found, and FIFO eviction removes exactly the
+  /// evicted slot's entry (backward-shift deletion, no tombstones).
+  std::vector<std::uint16_t> index_;
+  int indexShift_ = 64;  // 64 - log2(index_.size())
   std::size_t head_ = 0;
   std::size_t count_ = 0;
   /// Last mark per link. Marks predating a path's addedAt never decide its

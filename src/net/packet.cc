@@ -1,6 +1,7 @@
 #include "src/net/packet.h"
 
-#include <unordered_set>
+#include <algorithm>
+#include <array>
 
 #include "src/util/thread_annotations.h"
 
@@ -127,19 +128,21 @@ bool routeContainsLink(std::span<const NodeId> hops, LinkId link) {
 }
 
 bool routeHasDuplicates(std::span<const NodeId> hops) {
-  // Source routes are short: compare pairwise on the stack rather than
-  // allocate a set.
-  if (hops.size() <= 16) {
-    for (std::size_t i = 1; i < hops.size(); ++i) {
-      for (std::size_t j = 0; j < i; ++j) {
-        if (hops[i] == hops[j]) return true;
-      }
-    }
-    return false;
+  // Never allocates: this runs for every snooped route. Routes of 17 to
+  // kSorted nodes are sorted in a copy on the stack; the rest are compared
+  // pairwise, the fast path for short routes and a quadratic but rare one
+  // for longer routes.
+  constexpr std::size_t kSorted = 256;
+  if (hops.size() > 16 && hops.size() <= kSorted) {
+    std::array<NodeId, kSorted> sorted;
+    const auto end = std::copy(hops.begin(), hops.end(), sorted.begin());
+    std::sort(sorted.begin(), end);
+    return std::adjacent_find(sorted.begin(), end) != end;
   }
-  std::unordered_set<NodeId> seen;
-  for (NodeId n : hops) {
-    if (!seen.insert(n).second) return true;
+  for (std::size_t i = 1; i < hops.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (hops[i] == hops[j]) return true;
+    }
   }
   return false;
 }

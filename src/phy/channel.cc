@@ -21,19 +21,46 @@ sim::Time Channel::transmit(Radio& sender, const mac::Frame& f) {
   // 20 m/s). The index visits receivers in attach (id) order, so delivery
   // ordering — and therefore every downstream tie-break — is identical
   // whichever index implementation is configured.
+  //
+  // The frame is copied once, into an in-flight record its receivers'
+  // rxEnd events share (the sender's copy may be reused). A transmission
+  // that reaches no radio never takes a record.
+  std::uint32_t rec = kNoRecord;
   index_->forEachInRange(
       pos, cfg_.rangeMeters, now, &sender, [&](Radio& r, double d) {
         Radio* rp = &r;
         sched_.scheduleAt(
             now + cfg_.propagationDelay,
             [rp, txId, d] { rp->rxStart(txId, d); }, prof::Category::kPhy);
-        // Copy the frame into the end event: the sender's copy may be
-        // reused.
+        if (rec == kNoRecord) rec = hold(f);
+        ++inFlight_[rec].pending;
         sched_.scheduleAt(
-            end + cfg_.propagationDelay, [rp, txId, f] { rp->rxEnd(txId, f); },
+            end + cfg_.propagationDelay,
+            [this, rp, txId, rec] { endRx(*rp, txId, rec); },
             prof::Category::kPhy);
       });
   return end;
+}
+
+std::uint32_t Channel::hold(const mac::Frame& f) {
+  if (freeInFlight_.empty()) {
+    inFlight_.push_back(InFlight{f, 0});
+    return static_cast<std::uint32_t>(inFlight_.size() - 1);
+  }
+  const std::uint32_t rec = freeInFlight_.back();
+  freeInFlight_.pop_back();
+  inFlight_[rec].frame = f;
+  return rec;
+}
+
+void Channel::endRx(Radio& r, std::uint64_t txId, std::uint32_t rec) {
+  // Runs for every receiver, up or down, so the count always reaches 0.
+  InFlight& tx = inFlight_[rec];
+  r.rxEnd(txId, tx.frame);
+  if (--tx.pending == 0) {
+    tx.frame = mac::Frame{};  // drop the payload with the last reception
+    freeInFlight_.push_back(rec);
+  }
 }
 
 bool Channel::carrierBusy(const Radio& r) const {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -68,7 +69,8 @@ class Channel {
   const NeighborIndex& neighborIndex() const { return *index_; }
 
   /// Begin transmitting `f` from `sender`; schedules reception start/end at
-  /// every radio in range. Returns when the transmission will end.
+  /// every radio in range, all ends sharing one copy of `f`. Returns when
+  /// the transmission will end.
   sim::Time transmit(Radio& sender, const mac::Frame& f);
 
   /// Carrier sense for `r`: true if any ongoing transmission (including its
@@ -98,12 +100,28 @@ class Channel {
     sim::Time end;
   };
 
+  /// One transmission's frame, shared by the rxEnd events of all its
+  /// receivers.
+  struct InFlight {
+    mac::Frame frame;
+    std::uint32_t pending = 0;  // rxEnd events still to run
+  };
+  static constexpr std::uint32_t kNoRecord = UINT32_MAX;
+
   void prune() const;
+  /// A free in-flight record holding a copy of `f`, with no receivers yet.
+  std::uint32_t hold(const mac::Frame& f);
+  /// One receiver's end of reception; the last one releases the record.
+  void endRx(Radio& r, std::uint64_t txId, std::uint32_t rec);
 
   sim::Scheduler& sched_;
   PhyConfig cfg_;
   std::unique_ptr<NeighborIndex> index_;
   mutable std::vector<ActiveTx> active_;
+  /// In-flight records, recycled through freeInFlight_. A deque, so a
+  /// frame stays put while a receive handler that reads it transmits.
+  std::deque<InFlight> inFlight_;
+  std::vector<std::uint32_t> freeInFlight_;
   std::uint64_t nextTxId_ = 1;
 };
 

@@ -82,7 +82,7 @@ void Radio::rxEnd(std::uint64_t txId, const mac::Frame& f) {
                          [txId](const OngoingRx& rx) {
                            return rx.txId == txId;
                          });
-  if (it == ongoing_.end()) return;  // shouldn't happen
+  if (it == ongoing_.end()) return;  // the radio was or went down
   // Transmitting at any point during the reception corrupts it; check again
   // at the end (we may have started transmitting mid-reception).
   const bool corrupt = it->corrupt || transmitting();

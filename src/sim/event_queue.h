@@ -31,8 +31,9 @@ namespace manet::sim {
 using EventId = std::uint64_t;
 
 /// Ordering key of one pending event. `id` is the Scheduler-issued
-/// sequence number that doubles as the FIFO tie-break among equal
-/// timestamps; `slot` names the closure's Scheduler slot.
+/// sequence number that serves as the FIFO tie-break among equal
+/// timestamps (not the slot-and-stamp handle scheduleAt returns); `slot`
+/// names the closure's Scheduler slot.
 struct EventKey {
   Time at;
   EventId id = 0;

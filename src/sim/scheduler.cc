@@ -1,50 +1,46 @@
 #include "src/sim/scheduler.h"
 
-#include <cassert>
-#include <utility>
-
 namespace manet::sim {
 
-EventId Scheduler::scheduleAt(Time at, EventFn fn, prof::Category cat) {
-  assert(at >= now_ && "cannot schedule in the past");
-  const EventId id = nextId_++;
-  std::uint32_t slot;
+std::uint32_t Scheduler::vacantSlot() {
+  if (!freeSlots_.empty()) return freeSlots_.back();
+  if (slotCount_ == chunks_.size() * kChunkSlots) {
+    chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+  }
+  return slotCount_;
+}
+
+EventId Scheduler::enqueue(Time at, std::uint32_t s, prof::Category cat) {
   if (freeSlots_.empty()) {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    ++slotCount_;
   } else {
-    slot = freeSlots_.back();
     freeSlots_.pop_back();
   }
-  slots_[slot].fn = std::move(fn);
-  slots_[slot].cat = cat;
-  queue_.push(EventKey{at, id, slot});
+  Slot& slot = slotAt(s);
+  ++slot.stamp;
+  slot.cat = cat;
+  slot.pending = true;
+  slot.cancelled = false;
+  queue_.push(EventKey{at, nextSeq_++, s});
   if (queue_.size() > queuePeak_) queuePeak_ = queue_.size();
-  states_.push_back(EvState::kPending);
-  assert(baseId_ + states_.size() == nextId_);
-  return id;
+  return (EventId{slot.stamp} << 32) | (EventId{s} + 1);
 }
 
-Scheduler::EvState* Scheduler::stateOf(EventId id) {
-  if (id < baseId_ || id >= nextId_) return nullptr;
-  return &states_[static_cast<std::size_t>(id - baseId_)];
-}
-
-void Scheduler::retire(EventId id) {
-  EvState* st = stateOf(id);
-  assert(st != nullptr && *st != EvState::kDone);
-  if (*st == EvState::kCancelled) --cancelledLive_;
-  *st = EvState::kDone;
-  while (!states_.empty() && states_.front() == EvState::kDone) {
-    states_.pop_front();
-    ++baseId_;
-  }
+void Scheduler::release(std::uint32_t s) {
+  slotAt(s).fn.reset();
+  freeSlots_.push_back(s);
 }
 
 void Scheduler::cancel(EventId id) {
-  EvState* st = stateOf(id);
-  if (st == nullptr || *st != EvState::kPending) return;  // fired or cancelled
-  *st = EvState::kCancelled;
+  // kInvalidEvent maps to slot UINT32_MAX, which is never handed out.
+  const auto s = static_cast<std::uint32_t>(id) - 1U;
+  if (s >= slotCount_) return;
+  Slot& slot = slotAt(s);
+  if (slot.stamp != static_cast<std::uint32_t>(id >> 32) || !slot.pending ||
+      slot.cancelled) {
+    return;  // a stale handle, or fired, running or already cancelled
+  }
+  slot.cancelled = true;
   ++cancelledLive_;
 }
 
@@ -55,15 +51,17 @@ Time Scheduler::nextEventAt() {
 void Scheduler::runUntil(Time until) {
   while (!queue_.empty() && queue_.top().at <= until) {
     const EventKey k = queue_.pop();
-    // Move the closure out and free its slot first: the handler may
-    // schedule events, which can reuse the slot or grow slots_. The closure
-    // is destroyed at the end of this iteration, unrun if it was cancelled.
-    EventFn fn = std::move(slots_[k.slot].fn);
-    const prof::Category cat = slots_[k.slot].cat;
-    freeSlots_.push_back(k.slot);
-    const bool cancelled = *stateOf(k.id) == EvState::kCancelled;
-    retire(k.id);  // a handler cancelling its own id is a no-op
-    if (cancelled) continue;
+    // The slot's chunk never moves, so the closure can run where it lies
+    // while the handler schedules more events. The slot is freed only
+    // after the closure returns; a handler cancelling its own id finds the
+    // slot no longer pending and does nothing.
+    Slot& slot = slotAt(k.slot);
+    slot.pending = false;
+    if (slot.cancelled) {
+      --cancelledLive_;
+      release(k.slot);
+      continue;
+    }
     now_ = k.at;
     ++executed_;
     // Span capture reads only the profiler's wall clock and writes into a
@@ -71,13 +69,14 @@ void Scheduler::runUntil(Time until) {
     const bool capture = spanCapacity_ > 0;
     const std::uint64_t w0 =
         capture && prof_ != nullptr ? prof_->clockNs() : 0;
-    if (prof_ != nullptr) prof_->dispatch(cat);
-    fn();
+    if (prof_ != nullptr) prof_->dispatch(slot.cat);
+    slot.fn();
     if (capture) {
       const std::uint64_t w1 =
           prof_ != nullptr ? prof_->clockNs() : 0;
-      recordSpan(DispatchSpan{k.at, executed_, w0, w1 - w0, cat});
+      recordSpan(DispatchSpan{k.at, executed_, w0, w1 - w0, slot.cat});
     }
+    release(k.slot);
   }
   // Time spent outside runUntil belongs to no category.
   if (prof_ != nullptr) prof_->closeRun();

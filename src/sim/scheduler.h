@@ -1,8 +1,10 @@
 // Discrete-event scheduler: the heart of the simulator.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
-#include <deque>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/prof/profiler.h"
@@ -12,8 +14,9 @@
 
 namespace manet::sim {
 
-/// Handle for a scheduled event, usable with Scheduler::cancel.
-/// (EventId itself is declared in event_queue.h next to EventKey.)
+/// Handle for a scheduled event, usable with Scheduler::cancel: the slot
+/// number plus one in the low 32 bits and the slot's stamp in the high 32,
+/// so no handle is 0. (EventId itself is declared in event_queue.h.)
 inline constexpr EventId kInvalidEvent = 0;
 
 /// One dispatched handler, captured for timeline export: when it ran in
@@ -34,14 +37,20 @@ struct DispatchSpan {
 /// runs deterministic. The pending set is an EventQueue: a heap of
 /// same-timestamp runs of 24-byte keys, so a broadcast's burst of
 /// equal-time receiver events costs one heap push and one sift, not one
-/// per receiver. Each event is still dispatched on its own. Its closure
-/// and category live in a slot of `slots_`, recycled through a free list,
-/// so the queue never moves a closure. Cancellation is
-/// lazy: a cancelled key is skipped when it reaches the head of the queue,
-/// and only then is its closure destroyed and its slot freed. Event status
-/// is tracked in a dense per-id window (ids are assigned sequentially and
-/// retired roughly in order), so cancelling an already-fired id is a true
-/// no-op and pendingCount() stays exact.
+/// per receiver. Each event is still dispatched on its own.
+///
+/// Everything else about an event lives in its closure slot: the closure,
+/// its category, a generation stamp and pending/cancelled flags. Slots sit
+/// in fixed-size chunks that never move and are recycled through a free
+/// list. scheduleAt builds the closure directly in a slot and runUntil
+/// invokes it there, freeing the slot once it returns, so a closure is
+/// never relocated and a handler may schedule freely while it runs.
+/// Cancellation is lazy: cancel() flags the slot, and the key is skipped
+/// when it reaches the head of the queue, which is when the closure is
+/// destroyed and its slot freed. An EventId names a slot and the stamp the
+/// slot had when the event was scheduled, so cancelling a fired, cancelled
+/// or reused handle is a no-op and pendingCount() stays exact, with no
+/// per-id state: the scheduler's memory is bounded by the queue's peak.
 class Scheduler {
  public:
   Scheduler() = default;
@@ -52,17 +61,27 @@ class Scheduler {
   Time now() const { return now_; }
 
   /// Schedule `fn` to run at absolute time `at` (must be >= now()).
-  /// `cat` attributes the handler's wall time when profiling is on.
-  EventId scheduleAt(Time at, EventFn fn,
-                     prof::Category cat = prof::Category::kOther);
-
-  /// Schedule `fn` to run `delay` after now().
-  EventId scheduleAfter(Time delay, EventFn fn,
-                        prof::Category cat = prof::Category::kOther) {
-    return scheduleAt(now_ + delay, std::move(fn), cat);
+  /// `cat` attributes the handler's wall time when profiling is on. The
+  /// callable is constructed in its slot, where it also runs.
+  template <typename F>
+  EventId scheduleAt(Time at, F&& fn,
+                     prof::Category cat = prof::Category::kOther) {
+    assert(at >= now_ && "cannot schedule in the past");
+    const std::uint32_t s = vacantSlot();
+    slotAt(s).fn.emplace(std::forward<F>(fn));
+    return enqueue(at, s, cat);
   }
 
-  /// Cancel a pending event. Safe to call with an already-fired or invalid id.
+  /// Schedule `fn` to run `delay` after now().
+  template <typename F>
+  EventId scheduleAfter(Time delay, F&& fn,
+                        prof::Category cat = prof::Category::kOther) {
+    return scheduleAt(now_ + delay, std::forward<F>(fn), cat);
+  }
+
+  /// Cancel a pending event. Safe to call with an already-fired, cancelled,
+  /// running or invalid id, and with a stale id whose slot now holds
+  /// another event.
   void cancel(EventId id);
 
   /// Run events until the queue is empty or simulated time exceeds `until`.
@@ -86,9 +105,11 @@ class Scheduler {
   /// Timestamp of the next entry that would dispatch (cancelled entries
   /// included until they are lazily popped), or Time::max() when idle.
   Time nextEventAt();
-  /// Closure slots allocated so far. A popped key frees its slot for the
-  /// next scheduleAt, so this stays equal to queueHighWater().
-  std::size_t slotCount() const { return slots_.size(); }
+  /// Closure slots handed out so far. A slot is freed when its cancelled
+  /// key is popped or its closure returns, so this stays at most
+  /// queueHighWater() + 1 (the running closure holds its slot while it
+  /// schedules).
+  std::size_t slotCount() const { return slotCount_; }
   /// Always "heap"; perfbench/driver/main.cc prints it.
   const char* queueName() const { return "heap"; }
 
@@ -111,35 +132,46 @@ class Scheduler {
   std::vector<DispatchSpan> dispatchSpans() const;
 
  private:
-  enum class EvState : std::uint8_t { kPending, kCancelled, kDone };
-
-  /// An event's payload. A free slot holds an empty closure.
+  /// An event's payload and status. A free slot holds an empty closure and
+  /// neither flag.
   struct Slot {
     EventFn fn;
+    /// Bumped each time the slot is handed to a new event. It is 32 bits,
+    /// so a stale handle could match again only after 2^32 reuses of its
+    /// one slot while the handle is still held.
+    std::uint32_t stamp = 0;
     prof::Category cat = prof::Category::kOther;
+    bool pending = false;    // scheduled and its key not yet popped
+    bool cancelled = false;  // cancelled while pending
   };
+  static constexpr std::uint32_t kChunkBits = 8;
+  static constexpr std::uint32_t kChunkSlots = 1U << kChunkBits;
 
-  /// Status slot for `id`, or nullptr if the id was never issued or its
-  /// slot has been retired (the event already fired).
-  EvState* stateOf(EventId id);
-  /// Mark the popped entry done and retire the leading run of done slots.
-  void retire(EventId id);
+  Slot& slotAt(std::uint32_t s) {
+    return chunks_[s >> kChunkBits][s & (kChunkSlots - 1)];
+  }
+  /// The slot the next event will take (the most recently freed one, else
+  /// a fresh one), without claiming it.
+  std::uint32_t vacantSlot();
+  /// Claim slot `s` (from vacantSlot(), closure already in place), stamp
+  /// it and push its key.
+  EventId enqueue(Time at, std::uint32_t s, prof::Category cat);
+  /// Destroy the slot's closure and put it on the free list.
+  void release(std::uint32_t s);
 
   Time now_ = Time::zero();
-  EventId nextId_ = 1;
+  /// Sequence number of the next key: the FIFO tie-break among equal
+  /// timestamps.
+  std::uint64_t nextSeq_ = 1;
   std::uint64_t executed_ = 0;
   EventQueue queue_;
-  /// Payload of every pending key, indexed by EventKey::slot. Handlers may
-  /// schedule while running, so runUntil moves a closure out of its slot
-  /// before invoking it (the vector can grow underneath).
-  std::vector<Slot> slots_;
+  /// Slot s is chunks_[s >> kChunkBits][s % kChunkSlots]. Chunks are never
+  /// moved or freed before the Scheduler, so a running closure stays put
+  /// while its handler schedules more events.
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t slotCount_ = 0;
   std::vector<std::uint32_t> freeSlots_;
-  /// states_[id - baseId_] for every id not yet retired. The window stays
-  /// small because events retire in near-id order; it is trimmed from the
-  /// front as soon as the oldest outstanding id fires.
-  std::deque<EvState> states_;
-  EventId baseId_ = 1;
-  /// Entries in queue_ whose state is kCancelled (kept exact so
+  /// Keys in queue_ whose slot is flagged cancelled (kept exact so
   /// pendingCount() cannot underflow).
   std::size_t cancelledLive_ = 0;
   std::size_t queuePeak_ = 0;

@@ -809,11 +809,25 @@ INSTANTIATE_TEST_SUITE_P(Capacities, WideIdCacheOracleTest,
                                            Capacities{16, 24, 8},
                                            Capacities{512, 512, 64}));
 
+// Lengths on both sides of the pairwise / sorted-copy switch (16) and, in
+// a few trials, past the stack copy (256); ids across the full 32-bit
+// range, drawn from a per-trial pool sized so that most routes, but not
+// all, repeat a node.
 TEST(RouteHasDuplicatesTest, MatchesASet) {
   sim::Rng rng(3);
   for (int trial = 0; trial < 5000; ++trial) {
-    std::vector<NodeId> hops(static_cast<std::size_t>(rng.uniformInt(0, 30)));
-    for (NodeId& n : hops) n = static_cast<NodeId>(rng.uniformInt(0, 200));
+    const std::int64_t maxLen = trial % 50 == 0 ? 300 : 64;
+    std::vector<NodeId> hops(
+        static_cast<std::size_t>(rng.uniformInt(0, maxLen)));
+    std::vector<NodeId> pool(hops.size() * hops.size() / 2 + 1);
+    for (NodeId& n : pool) {
+      n = static_cast<NodeId>(
+          rng.uniformInt(0, std::numeric_limits<NodeId>::max()));
+    }
+    for (NodeId& n : hops) {
+      n = pool[static_cast<std::size_t>(
+          rng.uniformInt(0, static_cast<std::int64_t>(pool.size()) - 1))];
+    }
     const std::set<NodeId> distinct(hops.begin(), hops.end());
     EXPECT_EQ(net::routeHasDuplicates(hops), distinct.size() != hops.size())
         << str(hops);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "src/sim/rng.h"
@@ -75,6 +76,58 @@ TEST(RouteCacheTest, FifoEvictionAtCapacity) {
   EXPECT_FALSE(c.findRoute(1));  // oldest evicted
   EXPECT_TRUE(c.findRoute(2));
   EXPECT_TRUE(c.findRoute(3));
+}
+
+// Hops of each stored path, oldest first.
+std::vector<std::vector<NodeId>> storedHops(const RouteCache& c) {
+  std::vector<std::vector<NodeId>> out;
+  for (const auto& p : c.paths()) out.push_back(p.hops);
+  return out;
+}
+
+// A truncation can leave two equal stored paths. Each keeps its own entry
+// in the path index, so evicting the older one must leave the newer one
+// findable: re-inserting the path is a hit that changes nothing.
+TEST(RouteCacheTest, EvictingOneOfTwoEqualPathsKeepsTheOtherCached) {
+  RouteCache c(0, 4);
+  c.insert(std::vector<NodeId>{0, 1, 2, 3}, Time::seconds(1));
+  c.insert(std::vector<NodeId>{0, 1, 2, 4}, Time::seconds(2));
+  c.removeLink(LinkId{1, 2}, Time::seconds(3));  // both become {0, 1}
+  c.insert(std::vector<NodeId>{0, 5}, Time::seconds(4));
+  c.insert(std::vector<NodeId>{0, 6}, Time::seconds(5));
+  ASSERT_EQ(c.size(), 4u);
+  c.insert(std::vector<NodeId>{0, 7}, Time::seconds(6));  // evicts a {0, 1}
+  const std::vector<std::vector<NodeId>> want{{0, 1}, {0, 5}, {0, 6}, {0, 7}};
+  ASSERT_EQ(storedHops(c), want);
+
+  EXPECT_TRUE(c.insert(std::vector<NodeId>{0, 1}, Time::seconds(7)));
+  EXPECT_EQ(c.size(), 4u);
+  EXPECT_EQ(storedHops(c), want);  // a hit: nothing evicted, nothing added
+  EXPECT_EQ(c.paths()[0].addedAt, Time::seconds(2));
+}
+
+// clear() empties the path index with the ring: nothing cleared is still
+// reported as cached.
+TEST(RouteCacheTest, InsertAfterClearStoresThePathAgain) {
+  RouteCache c(0, 2);
+  c.insert(kPath, Time::seconds(1));
+  c.insert(std::vector<NodeId>{0, 5}, Time::seconds(1));
+  c.insert(std::vector<NodeId>{0, 6}, Time::seconds(1));  // wraps the ring
+  c.clear();
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_TRUE(c.insert(std::vector<NodeId>{0, 6}, Time::seconds(2)));
+  EXPECT_EQ(c.size(), 1u);
+  EXPECT_TRUE(c.insert(std::vector<NodeId>{0, 6}, Time::seconds(3)));
+  EXPECT_TRUE(c.insert(kPath, Time::seconds(3)));
+  EXPECT_EQ(storedHops(c),
+            (std::vector<std::vector<NodeId>>{{0, 6}, kPath}));
+  EXPECT_EQ(c.paths()[0].addedAt, Time::seconds(2));
+}
+
+TEST(RouteCacheTest, CapacityBeyondThePathIndexIsRejected) {
+  EXPECT_NO_THROW(RouteCache(0, RouteCache::kMaxCapacity));
+  EXPECT_THROW(RouteCache(0, RouteCache::kMaxCapacity + 1),
+               std::invalid_argument);
 }
 
 TEST(RouteCacheTest, RemoveLinkTruncatesAtBreak) {

@@ -90,6 +90,12 @@ TEST(ScenarioConfigValidate, RejectsBadDsrCacheCapacity) {
   auto cfg = validConfig();
   cfg.dsr.routeCacheCapacity = 0;
   expectRejected(cfg, "dsr config: routeCacheCapacity must be > 0");
+  cfg.dsr.routeCacheCapacity = 65536;  // above the path index's 16 bits
+  expectRejected(cfg,
+                 "dsr config: routeCacheCapacity must be <= 65535 for the "
+                 "path cache");
+  cfg.dsr.cacheStructure = core::CacheStructure::kLink;
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(ScenarioConfigValidate, RejectsBadDsrSendBuffer) {

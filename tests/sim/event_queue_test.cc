@@ -290,22 +290,29 @@ TEST(EventQueueTest, SchedulerFanoutWithMidRunCancelStaysExact) {
 TEST(EventQueueTest, SchedulerBehavesIdenticallyOnBothQueues) {
   // A scheduling program — ties, cascading reschedules, a cancel — runs
   // through the Scheduler. Every event it issues is also logged into the
-  // set oracle; draining the oracle (skipping the cancelled id) must give
-  // the Scheduler's dispatch order, with the same event ids.
+  // set oracle under its scheduling order (an EventId handle names a slot
+  // and a stamp, not that order); draining the oracle (skipping the
+  // cancelled event) must give the Scheduler's dispatch order.
+  struct Issued {
+    EventId id;
+    std::uint64_t seq;
+  };
   Scheduler sched;
   Oracle oracle;
-  std::map<EventId, std::string> names;
+  std::uint64_t issued = 0;
+  std::map<std::uint64_t, std::string> names;
   std::vector<std::string> log;
-  std::vector<EventId> cancelled;
-  std::function<EventId(Time, std::string, std::function<void()>)> add =
+  std::vector<std::uint64_t> cancelled;
+  std::function<Issued(Time, std::string, std::function<void()>)> add =
       [&](Time at, std::string name, std::function<void()> body) {
         const EventId id = sched.scheduleAt(at, [&log, name, body] {
           log.push_back(name);
           if (body) body();
         });
-        oracle.emplace(at, id);
-        names[id] = std::move(name);
-        return id;
+        const std::uint64_t seq = ++issued;
+        oracle.emplace(at, seq);
+        names[seq] = std::move(name);
+        return Issued{id, seq};
       };
   // Ties at t=10us, scheduled out of order.
   add(Time::micros(10), "tie-a", {});
@@ -314,10 +321,10 @@ TEST(EventQueueTest, SchedulerBehavesIdenticallyOnBothQueues) {
     // order puts it after the two pre-scheduled ties.
     add(Time::micros(10), "tie-c", {});
     // And a far-future timer that later gets cancelled.
-    const EventId doomed = add(Time::seconds(5), "never", {});
+    const Issued doomed = add(Time::seconds(5), "never", {});
     add(Time::seconds(2), "cancel", [&, doomed] {
-      sched.cancel(doomed);
-      cancelled.push_back(doomed);
+      sched.cancel(doomed.id);
+      cancelled.push_back(doomed.seq);
     });
   });
   add(Time::micros(10), "tie-b", {});
@@ -329,9 +336,10 @@ TEST(EventQueueTest, SchedulerBehavesIdenticallyOnBothQueues) {
   EXPECT_EQ(sched.executedCount(), 5u);
 
   std::vector<std::string> want;
-  for (const auto& [at, id] : oracle) {
-    if (std::find(cancelled.begin(), cancelled.end(), id) == cancelled.end()) {
-      want.push_back(names.at(id));
+  for (const auto& [at, seq] : oracle) {
+    if (std::find(cancelled.begin(), cancelled.end(), seq) ==
+        cancelled.end()) {
+      want.push_back(names.at(seq));
     }
   }
   EXPECT_EQ(log, want);

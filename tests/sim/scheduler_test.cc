@@ -141,18 +141,79 @@ TEST(SchedulerTest, DoubleCancelCountsOnce) {
   s.cancel(id);
   s.cancel(id);  // second cancel must not double-count
   EXPECT_EQ(s.pendingCount(), 1u);
+  s.runUntil(Time::seconds(1));  // pops the cancelled key
+  s.cancel(id);                  // and a third, after the pop
+  EXPECT_EQ(s.pendingCount(), 1u);
   s.run();
   EXPECT_EQ(s.pendingCount(), 0u);
   EXPECT_EQ(s.executedCount(), 1u);
 }
 
+// The running closure still holds its slot, so what it schedules lands in
+// another slot, and its own handle no longer names a pending event.
 TEST(SchedulerTest, HandlerCancellingItselfIsNoOp) {
   Scheduler s;
   EventId self = kInvalidEvent;
-  self = s.scheduleAt(Time::seconds(1), [&] { s.cancel(self); });
+  bool followerRan = false;
+  self = s.scheduleAt(Time::seconds(1), [&] {
+    s.scheduleAfter(Time::seconds(1), [&] { followerRan = true; });
+    s.cancel(self);
+    EXPECT_EQ(s.pendingCount(), 1u);
+  });
   s.run();
+  EXPECT_TRUE(followerRan);
   EXPECT_EQ(s.pendingCount(), 0u);
-  EXPECT_EQ(s.executedCount(), 1u);
+  EXPECT_EQ(s.executedCount(), 2u);
+}
+
+// A handle outlives its event; once the slot holds another event, the old
+// handle must not reach it, whether the old event fired or was cancelled.
+TEST(SchedulerTest, StaleHandleDoesNotCancelTheEventReusingItsSlot) {
+  Scheduler s;
+  std::vector<std::string> ran;
+  const EventId fired =
+      s.scheduleAt(Time::seconds(1), [&] { ran.push_back("fired"); });
+  s.runUntil(Time::seconds(1));
+  const EventId second =
+      s.scheduleAt(Time::seconds(2), [&] { ran.push_back("second"); });
+  EXPECT_EQ(s.slotCount(), 1u);  // the fired event's slot, reused
+  EXPECT_NE(second, fired);
+  s.cancel(fired);
+  EXPECT_EQ(s.pendingCount(), 1u);
+
+  s.cancel(second);
+  s.runUntil(Time::seconds(2));  // pops the cancelled key, frees the slot
+  s.scheduleAt(Time::seconds(3), [&] { ran.push_back("third"); });
+  EXPECT_EQ(s.slotCount(), 1u);
+  s.cancel(second);
+  s.cancel(fired);
+  EXPECT_EQ(s.pendingCount(), 1u);
+  s.run();
+  EXPECT_EQ(ran, (std::vector<std::string>{"fired", "third"}));
+  EXPECT_EQ(s.pendingCount(), 0u);
+}
+
+// Scheduler state is bounded by what is pending, not by how many ids were
+// issued since the oldest pending event: a far-future timer does not make
+// 200k short chained events leave anything behind.
+TEST(SchedulerTest, StateStaysBoundedBehindAFarFutureTimer) {
+  Scheduler s;
+  bool timerRan = false;
+  s.scheduleAt(Time::seconds(1000000), [&] { timerRan = true; });
+  int left = 200000;
+  std::function<void()> step = [&] {
+    if (--left > 0) s.scheduleAfter(Time::micros(1), step);
+  };
+  s.scheduleAfter(Time::micros(1), step);
+  s.runUntil(Time::seconds(1));
+  EXPECT_EQ(left, 0);
+  EXPECT_EQ(s.executedCount(), 200000u);
+  EXPECT_EQ(s.pendingCount(), 1u);
+  EXPECT_EQ(s.queueHighWater(), 2u);
+  EXPECT_LE(s.slotCount(), s.queueHighWater() + 1);
+  s.run();
+  EXPECT_TRUE(timerRan);
+  EXPECT_LE(s.slotCount(), s.queueHighWater() + 1);
 }
 
 TEST(SchedulerTest, PendingCountStaysExactUnderChurn) {
@@ -193,15 +254,15 @@ TEST(SchedulerTest, CancelledSlotIsReusedAndItsClosureNeverRuns) {
   EXPECT_EQ(s.slotCount(), s.queueHighWater());
 }
 
-// One handler schedules far more events than there are slots, so the slot
-// vector grows while that handler's closure is running. The handler's own
-// captures must survive, and every new event must run in (time, FIFO)
-// order.
+// One handler schedules far more events than one chunk of slots holds, so
+// new chunks are allocated while that handler's closure runs in its slot.
+// The chunks must never move: the handler's own captures must survive, and
+// every new event must run in (time, FIFO) order.
 TEST(SchedulerTest, HandlerGrowingTheSlotVectorStillRunsEverythingInOrder) {
   Scheduler s;
   std::vector<int> order;
-  // Stored inline in the closure: had the closure run in place, growing
-  // the slot vector would move this string out from under it.
+  // Stored inline in the running closure: were slots kept in one growing
+  // vector, this string would move out from under it.
   const std::string tag(100, 'x');
   std::string seenTag;
   s.scheduleAt(Time::seconds(1), [&s, &order, &seenTag, tag] {
