@@ -116,7 +116,7 @@ namespace detail {
 
 // Audited: src/prof/ is exempt from the manet_lint wall-clock rule by
 // design — this is the single funnel for host-time reads, and the values
-// only ever flow into reports (self-time, dispatch spans), never back into
+// only ever flow into reports (self-time, run latencies), never back into
 // scheduling, RNG draws, or any simulation decision.
 std::uint64_t steadyNowNs() {
   return static_cast<std::uint64_t>(

@@ -199,12 +199,6 @@ class Profiler {
 
   Report report() const;
 
-  /// Wall-clock read: injected test clock when present, else the inlined
-  /// fast clock (see fastClockNs above).
-  std::uint64_t clockNs() const {
-    return clock_ != nullptr ? clock_() : fastClockNs();
-  }
-
  private:
   static constexpr std::uint8_t kNoRun = kNumCategories;
 
@@ -213,6 +207,12 @@ class Profiler {
     std::uint64_t selfNs = 0;
     LatencyHistogram latency;  // one record per closed run
   };
+
+  /// Wall-clock read: injected test clock when present, else the inlined
+  /// fast clock (see fastClockNs above).
+  std::uint64_t clockNs() const {
+    return clock_ != nullptr ? clock_() : fastClockNs();
+  }
 
   void switchRun(Category c);
   /// Charge the open run's time up to `nowNs` to its category.

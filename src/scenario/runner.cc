@@ -29,16 +29,13 @@ ScenarioConfig taskConfig(const SweepPoint& point, int rep, int replications,
   // Concurrent runs must never share a trace file: tag the path with the
   // point label (multi-point sweeps) and replication index. A single
   // (point, seed) run keeps the configured path untouched.
-  const auto tagPath = [&](std::string& path) {
-    if (path.empty()) return;
-    if (numPoints > 1) {
-      path = telemetry::perRunPath(path, point.label, rep);
-    } else if (replications > 1) {
-      path = telemetry::perRunPath(path, rep);
-    }
-  };
-  tagPath(cfg.telemetry.traceJsonlPath);
-  tagPath(cfg.telemetry.perfettoPath);
+  std::string& path = cfg.telemetry.traceJsonlPath;
+  if (path.empty()) return cfg;
+  if (numPoints > 1) {
+    path = telemetry::perRunPath(path, point.label, rep);
+  } else if (replications > 1) {
+    path = telemetry::perRunPath(path, rep);
+  }
   return cfg;
 }
 

@@ -86,13 +86,6 @@ Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg) {
     jsonl_ = std::make_unique<telemetry::JsonlFileSink>(tel.traceJsonlPath);
     if (jsonl_->ok()) network_->tracer().addSink(jsonl_.get());
   }
-  if (!tel.perfettoPath.empty()) {
-    perfetto_ = std::make_unique<telemetry::PerfettoSink>(tel.perfettoPath);
-    if (perfetto_->ok()) network_->tracer().addSink(perfetto_.get());
-  }
-  if (tel.dispatchSpanCapacity > 0) {
-    network_->scheduler().enableSpanCapture(tel.dispatchSpanCapacity);
-  }
   if (tel.samplePeriod > sim::Time::zero()) {
     sampler_ =
         std::make_unique<telemetry::Sampler>(*network_, tel.samplePeriod);
@@ -184,13 +177,6 @@ RunResult Scenario::run() {
   // manet-lint: allow(wall-clock): run timing for reports only
   const auto wallEnd = std::chrono::steady_clock::now();
   network_->tracer().flush();
-  if (perfetto_ && perfetto_->ok()) {
-    // Append the scheduler's captured dispatch spans before the timeline
-    // closes; the sink flushed its instants above.
-    telemetry::writeDispatchSpans(perfetto_->writer(),
-                                  network_->scheduler().dispatchSpans());
-    perfetto_->writer().close();
-  }
   RunResult r;
   r.metrics = network_->metrics();
   r.duration = cfg_.duration;

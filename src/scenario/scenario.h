@@ -14,7 +14,6 @@
 #include "src/net/network.h"
 #include "src/phy/channel.h"
 #include "src/prof/profiler.h"
-#include "src/telemetry/perfetto.h"
 #include "src/telemetry/sampler.h"
 #include "src/telemetry/telemetry_config.h"
 #include "src/telemetry/trace.h"
@@ -125,7 +124,6 @@ class Scenario {
   // Telemetry plumbing (sinks outlive the network's Tracer pointers).
   std::unique_ptr<telemetry::RingBufferSink> ring_;
   std::unique_ptr<telemetry::JsonlFileSink> jsonl_;
-  std::unique_ptr<telemetry::PerfettoSink> perfetto_;
   std::unique_ptr<telemetry::Sampler> sampler_;
   std::unique_ptr<fault::InvariantChecker> checker_;
   bool logSinkInstalled_ = false;

@@ -64,48 +64,13 @@ void Scheduler::runUntil(Time until) {
     }
     now_ = k.at;
     ++executed_;
-    // Span capture reads only the profiler's wall clock and writes into a
-    // bounded buffer nothing in the simulation reads back.
-    const bool capture = spanCapacity_ > 0;
-    const std::uint64_t w0 =
-        capture && prof_ != nullptr ? prof_->clockNs() : 0;
     if (prof_ != nullptr) prof_->dispatch(slot.cat);
     slot.fn();
-    if (capture) {
-      const std::uint64_t w1 =
-          prof_ != nullptr ? prof_->clockNs() : 0;
-      recordSpan(DispatchSpan{k.at, executed_, w0, w1 - w0, slot.cat});
-    }
     release(k.slot);
   }
   // Time spent outside runUntil belongs to no category.
   if (prof_ != nullptr) prof_->closeRun();
   if (now_ < until && until != Time::max()) now_ = until;
-}
-
-void Scheduler::enableSpanCapture(std::size_t capacity) {
-  spanCapacity_ = capacity;
-  spans_.clear();
-  spans_.reserve(capacity);
-  spanHead_ = 0;
-}
-
-void Scheduler::recordSpan(const DispatchSpan& s) {
-  if (spans_.size() < spanCapacity_) {
-    spans_.push_back(s);
-    return;
-  }
-  spans_[spanHead_] = s;
-  spanHead_ = (spanHead_ + 1) % spanCapacity_;
-}
-
-std::vector<DispatchSpan> Scheduler::dispatchSpans() const {
-  std::vector<DispatchSpan> out;
-  out.reserve(spans_.size());
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
-    out.push_back(spans_[(spanHead_ + i) % spans_.size()]);
-  }
-  return out;
 }
 
 }  // namespace manet::sim

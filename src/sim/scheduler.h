@@ -19,18 +19,6 @@ namespace manet::sim {
 /// so no handle is 0. (EventId itself is declared in event_queue.h.)
 inline constexpr EventId kInvalidEvent = 0;
 
-/// One dispatched handler, captured for timeline export: when it ran in
-/// simulated time, what it cost in wall time, and which category it was
-/// scheduled under. Wall fields are zero when no profiler is attached
-/// (capture still records order and categories).
-struct DispatchSpan {
-  Time at;                        // simulated time of the dispatch
-  std::uint64_t seq = 0;          // 1-based dispatch index (executed count)
-  std::uint64_t wallStartNs = 0;  // profiler clock at handler entry
-  std::uint64_t wallDurNs = 0;    // handler wall-clock cost
-  prof::Category cat = prof::Category::kOther;
-};
-
 /// Single-threaded discrete-event scheduler.
 ///
 /// Events at equal timestamps fire in scheduling (FIFO) order, which keeps
@@ -122,15 +110,6 @@ class Scheduler {
   void setProfiler(prof::Profiler* p) { prof_ = p; }
   prof::Profiler* profiler() const { return prof_; }
 
-  /// Keep the most recent `capacity` dispatch spans (0 disables). Purely
-  /// observational: the buffer is bounded, reads only the profiler's wall
-  /// clock, and nothing in the simulation ever consumes it, so capturing
-  /// spans cannot perturb a run.
-  void enableSpanCapture(std::size_t capacity);
-  bool spanCaptureEnabled() const { return spanCapacity_ > 0; }
-  /// Captured spans, oldest retained first.
-  std::vector<DispatchSpan> dispatchSpans() const;
-
  private:
   /// An event's payload and status. A free slot holds an empty closure and
   /// neither flag.
@@ -176,13 +155,6 @@ class Scheduler {
   std::size_t cancelledLive_ = 0;
   std::size_t queuePeak_ = 0;
   prof::Profiler* prof_ = nullptr;
-  /// Dispatch-span ring (see enableSpanCapture): fixed capacity, overwrite
-  /// oldest. Empty unless capture is enabled.
-  std::vector<DispatchSpan> spans_;
-  std::size_t spanCapacity_ = 0;
-  std::size_t spanHead_ = 0;  // next write position once full
-
-  void recordSpan(const DispatchSpan& s);
 };
 
 }  // namespace manet::sim

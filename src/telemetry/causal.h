@@ -63,7 +63,7 @@ struct CausalRecord {
 bool parseCausalLine(const util::JsonValue& line, CausalRecord& out);
 
 /// Reduce a live TraceRecord to its causal fields (the same projection the
-/// JSONL round-trip produces). Shared by CausalIndex and the Perfetto sink.
+/// JSONL round-trip produces), used by CausalIndex::add.
 CausalRecord toCausalRecord(const TraceRecord& r);
 
 /// True for fault-plan events (node_crash, node_recover).

@@ -1,7 +1,9 @@
 #include "src/telemetry/perfetto.h"
 
 #include <cinttypes>
+#include <set>
 
+#include "src/telemetry/trace.h"
 #include "src/util/json.h"
 
 namespace manet::telemetry {
@@ -19,23 +21,16 @@ void appendKeyString(std::string& out, std::string_view key,
 
 }  // namespace
 
-PerfettoWriter::PerfettoWriter(const std::string& path) : path_(path) {
+PerfettoWriter::PerfettoWriter(const std::string& path) {
   ensureParentDir(path);
   f_ = std::fopen(path.c_str(), "wb");
   if (f_ != nullptr) std::fputs("[\n", f_);
 }
 
-PerfettoWriter::~PerfettoWriter() { close(); }
-
-void PerfettoWriter::close() {
+PerfettoWriter::~PerfettoWriter() {
   if (f_ == nullptr) return;
   std::fputs("\n]\n", f_);
   std::fclose(f_);
-  f_ = nullptr;
-}
-
-void PerfettoWriter::flush() {
-  if (f_ != nullptr) std::fflush(f_);
 }
 
 void PerfettoWriter::emitRaw(std::string_view eventJson) {
@@ -83,29 +78,6 @@ void PerfettoWriter::instant(std::string_view name, std::string_view cat,
   ev += ",\"tid\":";
   ev += std::to_string(tid);
   ev += globalScope ? R"(,"s":"g")" : R"(,"s":"t")";
-  if (!argsJson.empty()) {
-    ev += ",\"args\":";
-    ev += argsJson;
-  }
-  ev += '}';
-  emitRaw(ev);
-}
-
-void PerfettoWriter::complete(std::string_view name, std::string_view cat,
-                              double tsUs, double durUs, std::uint32_t pid,
-                              std::uint32_t tid, std::string_view argsJson) {
-  std::string ev = "{";
-  appendKeyString(ev, "name", name);
-  ev += ',';
-  appendKeyString(ev, "cat", cat);
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), ",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f",
-                tsUs, durUs);
-  ev += buf;
-  ev += ",\"pid\":";
-  ev += std::to_string(pid);
-  ev += ",\"tid\":";
-  ev += std::to_string(tid);
   if (!argsJson.empty()) {
     ev += ",\"args\":";
     ev += argsJson;
@@ -167,44 +139,6 @@ void perfettoEmitRecord(PerfettoWriter& w, const CausalRecord& r) {
                                          : "protocol";
   w.instant(name, cat, tsUs, kPerfettoNodesPid, r.node, perfettoArgs(r),
             /*globalScope=*/fault);
-}
-
-PerfettoSink::PerfettoSink(const std::string& path) : w_(path) {
-  if (w_.ok()) w_.processName(kPerfettoNodesPid, "nodes (sim time)");
-}
-
-void PerfettoSink::record(const TraceRecord& r) {
-  if (!w_.ok()) return;
-  if (namedNodes_.insert(r.node).second) {
-    w_.threadName(kPerfettoNodesPid, r.node,
-                  "node " + std::to_string(r.node));
-  }
-  perfettoEmitRecord(w_, toCausalRecord(r));
-}
-
-void writeDispatchSpans(PerfettoWriter& w,
-                        const std::vector<sim::DispatchSpan>& spans) {
-  if (!w.ok() || spans.empty()) return;
-  w.processName(kPerfettoSchedulerPid,
-                "scheduler (ts = sim time, dur = wall cost)");
-  bool named[prof::kNumCategories] = {};
-  for (const sim::DispatchSpan& s : spans) {
-    const auto tid = static_cast<std::uint32_t>(s.cat);
-    if (tid < prof::kNumCategories && !named[tid]) {
-      named[tid] = true;
-      w.threadName(kPerfettoSchedulerPid, tid, prof::toString(s.cat));
-    }
-    char args[96];
-    std::snprintf(args, sizeof(args),
-                  "{\"seq\":%" PRIu64 ",\"wall_ns\":%" PRIu64 "}", s.seq,
-                  s.wallDurNs);
-    // Timestamp is simulated time; the span's width is the handler's wall
-    // cost, scaled ns -> us so it is visible on the sim-time axis.
-    w.complete(prof::toString(s.cat), "dispatch",
-               static_cast<double>(s.at.ns()) / 1e3,
-               static_cast<double>(s.wallDurNs) / 1e3, kPerfettoSchedulerPid,
-               tid, args);
-  }
 }
 
 long convertToPerfetto(const std::vector<CausalRecord>& records,

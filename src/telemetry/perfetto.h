@@ -1,5 +1,7 @@
 // Perfetto timeline export: Chrome trace_event JSON ("Trace Event Format",
 // the JSON array flavour), loadable by ui.perfetto.dev and chrome://tracing.
+// The timeline is built offline from a JSONL trace read back with
+// readTraceFile (tools/manet_trace --perfetto).
 //
 // Track layout:
 //  * pid 1 "nodes" — one thread track per simulated node; every trace
@@ -9,39 +11,27 @@
 //  * pid 1, global-scope instants — fault-plan events (node crash and
 //    recover) span the whole view so cache-behaviour shifts line up with
 //    the crash that caused them.
-//  * pid 2 "scheduler" — one thread track per prof::Category; each captured
-//    dispatch span (sim::Scheduler::dispatchSpans) becomes a complete event
-//    whose timestamp is the handler's *simulated* time and whose duration
-//    is the handler's *wall-clock* cost. The axis stays simulated time;
-//    span width shows where host time went along it (documented in args).
 //
-// The writer streams: events are appended as they arrive and the array is
-// closed in the destructor, so even an aborted run leaves valid JSON once
-// the object is destroyed. Export is purely observational — it consumes
-// records and profiler clock reads and feeds nothing back, so a run with a
-// Perfetto sink attached is bit-identical to one without.
+// The writer streams: events are appended in arrival order and the
+// destructor closes the array, so the file parses once the writer is gone.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "src/sim/scheduler.h"
 #include "src/telemetry/causal.h"
-#include "src/telemetry/trace.h"
 
 namespace manet::telemetry {
 
-/// Process ids of the two top-level track groups.
+/// Process id of the node tracks.
 inline constexpr std::uint32_t kPerfettoNodesPid = 1;
-inline constexpr std::uint32_t kPerfettoSchedulerPid = 2;
 
 /// Streaming trace_event JSON array writer. Emits metadata and events in
-/// arrival order; closing the writer (or destroying it) terminates the
-/// array so the file always parses.
+/// arrival order; destroying the writer terminates the array and closes
+/// the file.
 class PerfettoWriter {
  public:
   explicit PerfettoWriter(const std::string& path);
@@ -51,7 +41,6 @@ class PerfettoWriter {
   PerfettoWriter& operator=(const PerfettoWriter&) = delete;
 
   bool ok() const { return f_ != nullptr; }
-  const std::string& path() const { return path_; }
   std::uint64_t eventsWritten() const { return written_; }
 
   /// Metadata: name the process / thread tracks.
@@ -65,19 +54,9 @@ class PerfettoWriter {
                std::uint32_t pid, std::uint32_t tid,
                std::string_view argsJson = {}, bool globalScope = false);
 
-  /// Complete event (ph "X"): a span of `durUs` starting at `tsUs`.
-  void complete(std::string_view name, std::string_view cat, double tsUs,
-                double durUs, std::uint32_t pid, std::uint32_t tid,
-                std::string_view argsJson = {});
-
-  void flush();
-  /// Terminate the JSON array and close the file (idempotent).
-  void close();
-
  private:
   void emitRaw(std::string_view eventJson);
 
-  std::string path_;
   std::FILE* f_ = nullptr;
   bool first_ = true;
   std::uint64_t written_ = 0;
@@ -88,31 +67,10 @@ class PerfettoWriter {
 /// Returns "" when the record carries none of them.
 std::string perfettoArgs(const CausalRecord& r);
 
-/// Emit one record as instant event(s) on `w`. `trackReady(node)` must have
-/// named the node's track already (PerfettoSink handles this lazily).
+/// Emit one record as an instant event on its node's track of `w`.
+/// Naming the track is the caller's job (convertToPerfetto names each
+/// node's track before its first record).
 void perfettoEmitRecord(PerfettoWriter& w, const CausalRecord& r);
-
-/// Append the scheduler's captured dispatch spans as complete events on the
-/// per-category tracks of pid 2 (includes the track metadata).
-void writeDispatchSpans(PerfettoWriter& w,
-                        const std::vector<sim::DispatchSpan>& spans);
-
-/// Live sink: converts every TraceRecord to timeline events as it is
-/// emitted. Node tracks are named lazily on first sighting.
-class PerfettoSink final : public TraceSink {
- public:
-  explicit PerfettoSink(const std::string& path);
-
-  bool ok() const { return w_.ok(); }
-  PerfettoWriter& writer() { return w_; }
-
-  void record(const TraceRecord& r) override;
-  void flush() override { w_.flush(); }
-
- private:
-  PerfettoWriter w_;
-  std::set<net::NodeId> namedNodes_;
-};
 
 /// Offline converter: records read back from a JSONL trace -> a Perfetto
 /// timeline at `outPath` (used by tools/manet_trace --perfetto). Returns

@@ -67,15 +67,6 @@ TelemetryConfig TelemetryConfig::fromEnv(TelemetryConfig base) {
   if (const char* v = std::getenv("MANET_TRACE_LOGS"); v != nullptr) {  // NOLINT(concurrency-mt-unsafe)
     base.captureLogs = v[0] == '1';
   }
-  if (const char* v = std::getenv("MANET_TRACE_PERFETTO");  // NOLINT(concurrency-mt-unsafe)
-      v != nullptr && v[0] != '\0') {
-    base.perfettoPath = v;
-  }
-  if (const char* v = std::getenv("MANET_TRACE_SPANS");  // NOLINT(concurrency-mt-unsafe)
-      v != nullptr && v[0] != '\0') {
-    const long n = std::strtol(v, nullptr, 10);
-    base.dispatchSpanCapacity = n > 0 ? static_cast<std::size_t>(n) : 0;
-  }
   return base;
 }
 

@@ -11,10 +11,6 @@
 //   MANET_LOG_LEVEL=<level>    none|error|info|debug|trace — one verbosity
 //                              config shared by util::log and trace capture
 //   MANET_TRACE_LOGS=1         mirror util::log lines into the trace
-//   MANET_TRACE_PERFETTO=<p>   write a Perfetto/Chrome trace_event JSON
-//                              timeline to <p> (per-run suffixes as above)
-//   MANET_TRACE_SPANS=<N>      keep the last N scheduler dispatch spans and
-//                              export them as timeline tracks (0 = off)
 #pragma once
 
 #include <cstddef>
@@ -40,16 +36,6 @@ struct TelemetryConfig {
   util::LogLevel logLevel = util::LogLevel::kNone;
   /// Mirror util::log lines into the trace as kLog records.
   bool captureLogs = false;
-  /// Write a Perfetto (Chrome trace_event JSON) timeline here ("" = off).
-  std::string perfettoPath;
-  /// Capture the most recent N scheduler dispatch spans and export them as
-  /// per-category timeline tracks (0 = off; only useful with perfettoPath).
-  std::size_t dispatchSpanCapacity = 0;
-
-  bool traceEnabled() const {
-    return ringCapacity > 0 || !traceJsonlPath.empty() ||
-           !perfettoPath.empty();
-  }
 
   /// `base` overlaid with any MANET_* environment overrides.
   static TelemetryConfig fromEnv(TelemetryConfig base);

@@ -2,8 +2,10 @@
 //  * every stale-route drop in a churn-heavy run must be attributable to
 //    the cache insertion that supplied the failed route (the tentpole's
 //    100%-attribution criterion),
-//  * attaching trace sinks (JSONL + Perfetto + dispatch spans) must leave
-//    the simulation bit-identical to an untraced run,
+//  * attaching trace sinks (JSONL + ring) must leave the simulation
+//    bit-identical to an untraced run,
+//  * the offline Perfetto timeline of a churn run's trace must hold every
+//    record, one track per traced node and every crash and recovery,
 //  * causal chains reconstructed from per-run traces must be byte-identical
 //    whether the sweep ran with 1 worker or 4.
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "src/scenario/sweep.h"
 #include "src/telemetry/causal.h"
 #include "src/telemetry/export.h"
+#include "src/telemetry/perfetto.h"
 #include "src/telemetry/trace_reader.h"
 #include "src/util/json.h"
 
@@ -88,9 +92,7 @@ TEST(CausalAttributionTest, ChurnRunAttributesEveryStaleDrop) {
 
 TEST(CausalAttributionTest, TracedRunIsBitIdenticalToUntraced) {
   const std::string jsonl = ::testing::TempDir() + "/causal_bitid.jsonl";
-  const std::string perfetto = ::testing::TempDir() + "/causal_bitid.json";
   std::remove(jsonl.c_str());
-  std::remove(perfetto.c_str());
 
   scenario::ScenarioConfig cfg = churnScenario();
   cfg.duration = Time::seconds(30);
@@ -98,8 +100,7 @@ TEST(CausalAttributionTest, TracedRunIsBitIdenticalToUntraced) {
 
   scenario::ScenarioConfig traced = cfg;
   traced.telemetry.traceJsonlPath = jsonl;
-  traced.telemetry.perfettoPath = perfetto;
-  traced.telemetry.dispatchSpanCapacity = 4096;
+  traced.telemetry.ringCapacity = 4096;
   const scenario::RunResult full = scenario::runScenario(traced);
 
   // Tracing is purely observational: same metrics, same event count.
@@ -107,15 +108,63 @@ TEST(CausalAttributionTest, TracedRunIsBitIdenticalToUntraced) {
             telemetry::metricsJson(full.metrics, full.duration));
   EXPECT_EQ(bare.eventsExecuted, full.eventsExecuted);
 
-  // And the Perfetto artifact it produced is valid JSON.
+  std::remove(jsonl.c_str());
+}
+
+TEST(CausalAttributionTest, OfflineTimelineHoldsEveryRecordAndFault) {
+  const std::string jsonl = ::testing::TempDir() + "/causal_timeline.jsonl";
+  const std::string timeline = ::testing::TempDir() + "/causal_timeline.json";
+  std::remove(jsonl.c_str());
+  std::remove(timeline.c_str());
+
+  scenario::ScenarioConfig cfg = churnScenario();
+  cfg.duration = Time::seconds(30);
+  cfg.telemetry.traceJsonlPath = jsonl;
+  const scenario::RunResult r = scenario::runScenario(cfg);
+  ASSERT_GT(r.metrics.faultNodeCrashes, 0u);
+
+  auto read = telemetry::readTraceFile(jsonl);
+  ASSERT_TRUE(read.has_value());
+  ASSERT_TRUE(read->errors.empty()) << read->errors.front();
+  const std::vector<telemetry::CausalRecord>& records = read->records;
+  ASSERT_FALSE(records.empty());
+  std::set<net::NodeId> tracedNodes;
+  for (const telemetry::CausalRecord& rec : records) {
+    tracedNodes.insert(rec.node);
+  }
+
+  // One instant per record, one process_name, one thread_name per node
+  // that has a record.
+  const long written = telemetry::convertToPerfetto(records, timeline);
+  EXPECT_EQ(written, static_cast<long>(records.size() + 1 +
+                                       tracedNodes.size()));
+
   std::string err;
-  const auto doc = util::parseJson(slurp(perfetto), &err);
+  const auto doc = util::parseJson(slurp(timeline), &err);
   ASSERT_TRUE(doc.has_value()) << err;
-  EXPECT_TRUE(doc->isArray());
-  EXPECT_GT(doc->asArray().size(), 0u);
+  ASSERT_TRUE(doc->isArray());
+  EXPECT_EQ(doc->asArray().size(), static_cast<std::size_t>(written));
+  std::set<net::NodeId> namedTracks;
+  std::uint64_t crashes = 0;
+  std::uint64_t recoveries = 0;
+  for (const util::JsonValue& ev : doc->asArray()) {
+    const std::string name = ev.stringAt("name");
+    if (name == "thread_name") {
+      EXPECT_TRUE(
+          namedTracks.insert(static_cast<net::NodeId>(ev.numberAt("tid")))
+              .second)
+          << "track named twice";
+    } else if (ev.stringAt("s") == "g") {
+      if (name == "node_crash") ++crashes;
+      if (name == "node_recover") ++recoveries;
+    }
+  }
+  EXPECT_EQ(namedTracks, tracedNodes);
+  EXPECT_EQ(crashes, r.metrics.faultNodeCrashes);
+  EXPECT_EQ(recoveries, r.metrics.faultNodeRecoveries);
 
   std::remove(jsonl.c_str());
-  std::remove(perfetto.c_str());
+  std::remove(timeline.c_str());
 }
 
 TEST(CausalAttributionTest, CausalChainsAreIdenticalAcrossSweepJobCounts) {

@@ -1,7 +1,7 @@
 // Perfetto export tests: the streaming writer must always leave a valid
-// JSON array (checked with the repo's own parser), the sink must lay out
-// node/fault tracks correctly, the offline converter must round-trip
-// records read back from a trace, and scheduler dispatch-span capture must stay observational.
+// JSON array (checked with the repo's own parser), record emission must lay
+// out node/fault tracks with provenance args, and the offline converter
+// must round-trip records read back from a trace.
 #include "src/telemetry/perfetto.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <sstream>
 #include <string>
 
-#include "src/prof/profiler.h"
 #include "src/telemetry/trace.h"
 #include "src/util/json.h"
 
@@ -41,7 +40,7 @@ TEST(PerfettoTest, EmptyWriterClosesToValidEmptyArray) {
   std::remove(path.c_str());
 }
 
-TEST(PerfettoTest, WriterEmitsMetadataInstantAndCompleteEvents) {
+TEST(PerfettoTest, WriterEmitsMetadataAndInstantEvents) {
   const std::string path = ::testing::TempDir() + "/perfetto_events.json";
   {
     PerfettoWriter w(path);
@@ -52,13 +51,12 @@ TEST(PerfettoTest, WriterEmitsMetadataInstantAndCompleteEvents) {
               "{\"uid\":42}");
     w.instant("node_crash", "fault", 2000.0, kPerfettoNodesPid, 3, {},
               /*globalScope=*/true);
-    w.complete("routing", "sched", 100.0, 7.5, kPerfettoSchedulerPid, 1);
-    EXPECT_EQ(w.eventsWritten(), 5u);
+    EXPECT_EQ(w.eventsWritten(), 4u);
   }
   const util::JsonValue doc = parseFile(path);
   ASSERT_TRUE(doc.isArray());
   const util::JsonArray& a = doc.asArray();
-  ASSERT_EQ(a.size(), 5u);
+  ASSERT_EQ(a.size(), 4u);
   EXPECT_EQ(a[0].stringAt("ph"), "M");
   EXPECT_EQ(a[0].stringAt("name"), "process_name");
   EXPECT_EQ(a[2].stringAt("ph"), "i");
@@ -67,16 +65,14 @@ TEST(PerfettoTest, WriterEmitsMetadataInstantAndCompleteEvents) {
   ASSERT_NE(a[2].find("args"), nullptr);
   EXPECT_DOUBLE_EQ(a[2].find("args")->numberAt("uid"), 42.0);
   EXPECT_EQ(a[3].stringAt("s"), "g");  // fault instants span the view
-  EXPECT_EQ(a[4].stringAt("ph"), "X");
-  EXPECT_DOUBLE_EQ(a[4].numberAt("dur"), 7.5);
   std::remove(path.c_str());
 }
 
 TEST(PerfettoTest, SinkConvertsLiveRecordsWithProvenanceArgs) {
-  const std::string path = ::testing::TempDir() + "/perfetto_sink.json";
+  const std::string path = ::testing::TempDir() + "/perfetto_emit.json";
   {
-    PerfettoSink sink(path);
-    ASSERT_TRUE(sink.ok());
+    PerfettoWriter w(path);
+    ASSERT_TRUE(w.ok());
     TraceRecord t;
     t.at = sim::Time::seconds(1);
     t.event = TraceEvent::kPktDrop;
@@ -87,13 +83,12 @@ TEST(PerfettoTest, SinkConvertsLiveRecordsWithProvenanceArgs) {
     t.cause = 9;
     t.prov = net::RouteProvenance{3, net::RouteOrigin::kCachedReply, 2,
                                   sim::Time::fromSeconds(0.25), 5};
-    sink.record(t);
+    perfettoEmitRecord(w, toCausalRecord(t));
     TraceRecord crash;
     crash.at = sim::Time::seconds(2);
     crash.event = TraceEvent::kNodeCrash;
     crash.node = 4;
-    sink.record(crash);
-    sink.writer().close();
+    perfettoEmitRecord(w, toCausalRecord(crash));
   }
   const util::JsonValue doc = parseFile(path);
   ASSERT_TRUE(doc.isArray());
@@ -147,68 +142,6 @@ TEST(PerfettoTest, ConvertJsonlRoundTripsTraceLines) {
   EXPECT_LT(convertToPerfetto(records, blocker + "/x.json"), 0);
   std::remove(path.c_str());
   std::remove(blocker.c_str());
-}
-
-// ------------------------------------------------------- dispatch spans
-
-TEST(PerfettoTest, SchedulerCapturesDispatchSpansInOrder) {
-  sim::Scheduler sched;
-  sched.enableSpanCapture(8);
-  EXPECT_TRUE(sched.spanCaptureEnabled());
-  int fired = 0;
-  sched.scheduleAt(sim::Time::seconds(1), [&] { ++fired; },
-                   prof::Category::kRouting);
-  sched.scheduleAt(sim::Time::seconds(2), [&] { ++fired; },
-                   prof::Category::kMac);
-  sched.runUntil(sim::Time::seconds(10));
-  EXPECT_EQ(fired, 2);
-  const auto spans = sched.dispatchSpans();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].at, sim::Time::seconds(1));
-  EXPECT_EQ(spans[0].cat, prof::Category::kRouting);
-  EXPECT_EQ(spans[1].at, sim::Time::seconds(2));
-  EXPECT_EQ(spans[1].cat, prof::Category::kMac);
-  EXPECT_LT(spans[0].seq, spans[1].seq);
-  // No profiler attached: wall fields stay zero (capture is still useful
-  // for ordering/category timelines and never perturbs the run).
-  EXPECT_EQ(spans[0].wallDurNs, 0u);
-}
-
-TEST(PerfettoTest, SpanRingKeepsMostRecentWhenOverCapacity) {
-  sim::Scheduler sched;
-  sched.enableSpanCapture(2);
-  for (int i = 1; i <= 5; ++i) {
-    sched.scheduleAt(sim::Time::seconds(i), [] {}, prof::Category::kOther);
-  }
-  sched.runUntil(sim::Time::seconds(10));
-  const auto spans = sched.dispatchSpans();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].at, sim::Time::seconds(4));  // oldest-first order
-  EXPECT_EQ(spans[1].at, sim::Time::seconds(5));
-}
-
-TEST(PerfettoTest, WriteDispatchSpansEmitsSchedulerTracks) {
-  const std::string path = ::testing::TempDir() + "/perfetto_spans.json";
-  {
-    PerfettoWriter w(path);
-    std::vector<sim::DispatchSpan> spans;
-    spans.push_back({sim::Time::seconds(1), 1, 100, 250,
-                     prof::Category::kRouting});
-    writeDispatchSpans(w, spans);
-  }
-  const util::JsonValue doc = parseFile(path);
-  ASSERT_TRUE(doc.isArray());
-  bool sawSpan = false;
-  for (const util::JsonValue& ev : doc.asArray()) {
-    if (ev.stringAt("ph") != "X") continue;
-    sawSpan = true;
-    EXPECT_DOUBLE_EQ(ev.numberAt("pid"),
-                     static_cast<double>(kPerfettoSchedulerPid));
-    EXPECT_DOUBLE_EQ(ev.numberAt("ts"), 1e6);    // sim time in us
-    EXPECT_DOUBLE_EQ(ev.numberAt("dur"), 0.25);  // wall ns -> us
-  }
-  EXPECT_TRUE(sawSpan);
-  std::remove(path.c_str());
 }
 
 }  // namespace
