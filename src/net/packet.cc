@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "src/util/thread_annotations.h"
-
 namespace manet::net {
 
 const char* toString(PacketKind k) {

@@ -3,7 +3,7 @@
 #include <cinttypes>
 #include <set>
 
-#include "src/telemetry/trace.h"
+#include "src/util/atomic_file.h"
 #include "src/util/json.h"
 
 namespace manet::telemetry {
@@ -22,7 +22,7 @@ void appendKeyString(std::string& out, std::string_view key,
 }  // namespace
 
 PerfettoWriter::PerfettoWriter(const std::string& path) {
-  ensureParentDir(path);
+  util::ensureParentDir(path);
   f_ = std::fopen(path.c_str(), "wb");
   if (f_ != nullptr) std::fputs("[\n", f_);
 }

@@ -1,12 +1,9 @@
 #include "src/telemetry/trace.h"
 
 #include <cinttypes>
-#include <filesystem>
-#include <system_error>
 
+#include "src/util/atomic_file.h"
 #include "src/util/json.h"
-#include "src/util/mutex.h"
-#include "src/util/thread_annotations.h"
 
 namespace manet::telemetry {
 
@@ -179,23 +176,8 @@ void RingBufferSink::clear() {
 
 // ------------------------------------------------------------ JsonlFile
 
-void ensureParentDir(const std::string& path) {
-  std::error_code ec;
-  const std::filesystem::path p(path);
-  if (!p.has_parent_path()) return;
-  // Parallel sweep workers open sinks concurrently; serialize directory
-  // creation so racing mkdir calls cannot spuriously fail.
-  // manet-lint: allow(shared-mutable): process-wide mutex guarding
-  // filesystem mutation only; no simulation state.
-  // manet-lint: allow(lock-discipline): serializes filesystem mkdir, an
-  // external resource with no in-process data members.
-  static util::Mutex dirMutex;
-  const util::MutexLock lock(dirMutex);
-  std::filesystem::create_directories(p.parent_path(), ec);
-}
-
 JsonlFileSink::JsonlFileSink(const std::string& path) : path_(path) {
-  ensureParentDir(path);
+  util::ensureParentDir(path);
   f_ = std::fopen(path.c_str(), "w");
 }
 

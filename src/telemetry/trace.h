@@ -139,12 +139,6 @@ class RingBufferSink final : public TraceSink {
   std::vector<Stored> buf_;
 };
 
-/// Create `path`'s parent directories if they do not exist yet, so sinks
-/// opened at sim start (before any exporter runs) can write into a not-yet
-/// created export directory. Thread-safe; best-effort (open errors are
-/// still reported by the caller).
-void ensureParentDir(const std::string& path);
-
 /// Streams records as JSON Lines to a file (one object per line), read back
 /// by readTraceFile (tools/manet_trace and the trace tests).
 class JsonlFileSink final : public TraceSink {

@@ -10,26 +10,24 @@
 #include <string>
 
 #include "src/util/mutex.h"
-#include "src/util/thread_annotations.h"
 
 namespace manet::util {
 
-namespace {
-
-void ensureParent(const std::string& path) {
+void ensureParentDir(const std::string& path) {
   const std::filesystem::path p(path);
   if (!p.has_parent_path()) return;
-  // Parallel sweep workers write artifacts concurrently; serialize directory
-  // creation so racing mkdir calls cannot spuriously fail.
+  // Parallel sweep workers open sinks and write artifacts concurrently;
+  // serialize directory creation so racing mkdir calls cannot spuriously
+  // fail.
   // manet-lint: allow(shared-mutable): process-wide mkdir serialization
   // only; never read by simulation code
-  // manet-lint: allow(lock-discipline): serializes filesystem mkdir, an
-  // external resource with no in-process data members.
   static Mutex dirMutex;
   const MutexLock lock(dirMutex);
   std::error_code ec;
   std::filesystem::create_directories(p.parent_path(), ec);
 }
+
+namespace {
 
 bool writeAll(int fd, const char* data, std::size_t size) {
   std::size_t off = 0;
@@ -52,7 +50,7 @@ void fail(const char* what, const std::string& path) {
 }  // namespace
 
 bool atomicWriteFile(const std::string& path, std::string_view content) {
-  ensureParent(path);
+  ensureParentDir(path);
   const std::string tmp =
       path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);

@@ -17,4 +17,10 @@ namespace manet::util {
 /// logs to stderr on failure; a failed attempt removes its temporary.
 bool atomicWriteFile(const std::string& path, std::string_view content);
 
+/// Create `path`'s parent directories if they do not exist yet, so writers
+/// opened at sim start (before any exporter runs) can write into a not-yet
+/// created export directory. Thread-safe; best-effort (open errors are
+/// still reported by the caller).
+void ensureParentDir(const std::string& path);
+
 }  // namespace manet::util

@@ -26,8 +26,6 @@ void setLogLevel(LogLevel level) {
 Mutex& stderrMutex() {
   // manet-lint: allow(shared-mutable): stderr serialization only; guards
   // writes to a shared fd and is never read by simulation code.
-  // manet-lint: allow(lock-discipline): guards the process-wide stderr
-  // stream, an external resource with no in-process data members.
   static Mutex m;
   return m;
 }

@@ -24,7 +24,6 @@
 #include <string_view>
 
 #include "src/util/mutex.h"
-#include "src/util/thread_annotations.h"
 
 namespace manet::util {
 

@@ -6,14 +6,12 @@
 // repo's sanctioned locking vocabulary — util::Mutex is the CAPABILITY,
 // util::MutexLock the RAII holder the analysis tracks.
 //
-// Locking discipline (enforced by tools/manet_lint):
-//   * every Mutex declaration in src/ names the data it guards via
-//     GUARDED_BY(mu) members, or carries an allow(lock-discipline) comment
-//     naming the external resource it serializes (a file descriptor, the
-//     stderr stream);
-//   * bare .lock()/.unlock() calls are banned in src/ (rule bare-lock):
-//     critical sections are MutexLock scopes, so no early return or
-//     exception can leak a held lock.
+// Locking discipline: critical sections are MutexLock scopes, so no early
+// return or exception can leak a held lock. CI's `thread-safety` job builds
+// src/ with -Werror=thread-safety-*, which checks every acquire against its
+// release; the `tsan` job checks the runs themselves. src/ has two mutexes,
+// stderrMutex() and the mkdir lock in ensureParentDir; each serializes an
+// external resource, so no member is GUARDED_BY.
 #pragma once
 
 #include <mutex>

@@ -16,12 +16,6 @@
 // thread-safety job is the enforcing build. The spellings follow the Clang
 // documentation's canonical mutex.h so the annotations read like the
 // upstream examples.
-//
-// Discipline is linted, not just compiled: the lock-discipline rule in
-// tools/manet_lint requires every mutex declaration in src/ to guard an
-// annotated data set (or carry an allow naming the external resource it
-// serializes), and annotation-coverage requires every audited
-// shared-mutable site to include this header.
 #pragma once
 
 #if defined(__clang__) && defined(__has_attribute)

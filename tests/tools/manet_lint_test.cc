@@ -1,6 +1,7 @@
 // Rule-by-rule coverage for the determinism linter: every rule gets a
 // positive hit, an allowlisted suppression, and a clean file; plus the
-// allow-syntax meta rules and the lexer's comment/string immunity.
+// allow-syntax meta rules, the lexer's comment/string immunity, and a scan of
+// the real source tree against its allow budget.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -261,7 +263,7 @@ TEST(ManetLintTest, SharedMutableSuppressible) {
   const auto fs = lintSource(
       "src/util/x.cc",
       "#include \"src/util/mutex.h\"\n"
-      "// manet-lint: allow(shared-mutable, lock-discipline): stderr\n"
+      "// manet-lint: allow(shared-mutable): stderr\n"
       "// serialization only, an external resource with no members\n"
       "static util::Mutex g_mutex;\n");
   EXPECT_TRUE(fs.empty());
@@ -333,9 +335,13 @@ TEST(ManetLintTest, BareAllowIsItselfAFindingAndDoesNotSuppress) {
 }
 
 TEST(ManetLintTest, UnknownRuleInAllowIsFlagged) {
-  const auto fs = lintSource(
-      "src/core/x.cc", "// manet-lint: allow(raw-rgn): typo\nint x;\n");
-  EXPECT_TRUE(hasRule(fs, "unknown-rule"));
+  // A typo, and a rule the linter no longer has.
+  for (const char* id : {"raw-rgn", "lock-discipline"}) {
+    const auto fs = lintSource(
+        "src/core/x.cc",
+        "// manet-lint: allow(" + std::string(id) + "): stale\nint x;\n");
+    EXPECT_TRUE(hasRule(fs, "unknown-rule")) << id;
+  }
 }
 
 TEST(ManetLintTest, AllowListsMultipleRules) {
@@ -356,161 +362,12 @@ TEST(ManetLintTest, CommentsAndStringsAreNotMatched) {
                   .empty());
 }
 
-// ----------------------------------------------------------- lock-discipline
-
-TEST(ManetLintTest, LockDisciplineFlagsUnguardedMutex) {
-  const auto fs = lintSource("src/core/x.cc",
-                             "#include \"src/util/mutex.h\"\n"
-                             "class Tally {\n"
-                             "  util::Mutex mu_;\n"
-                             "  int hits_ = 0;\n"
-                             "};\n");
-  ASSERT_TRUE(hasRule(fs, "lock-discipline"));
-  EXPECT_EQ(lineOf(fs, "lock-discipline"), 3);
-}
-
-TEST(ManetLintTest, LockDisciplineFlagsRawStdMutexToo) {
-  EXPECT_TRUE(hasRule(lintSource("src/net/x.cc",
-                                 "#include <mutex>\n"
-                                 "std::mutex g_mu;\n"
-                                 "// manet-lint: allow(shared-mutable): x\n"),
-                      "lock-discipline"));
-}
-
-TEST(ManetLintTest, LockDisciplineAcceptsGuardedMembers) {
-  const auto fs = lintSource("src/core/x.cc",
-                             "#include \"src/util/mutex.h\"\n"
-                             "class Tally {\n"
-                             "  util::Mutex mu_;\n"
-                             "  int hits_ GUARDED_BY(mu_) = 0;\n"
-                             "};\n");
-  EXPECT_FALSE(hasRule(fs, "lock-discipline"));
-}
-
-TEST(ManetLintTest, LockDisciplineSeesGuardInPairedHeader) {
-  const auto fs = lintSource(
-      "src/scenario/x.cc",
-      "#include \"src/util/mutex.h\"\n"
-      "util::Mutex Registry::mu_;\n",
-      "class Registry {\n"
-      "  static util::Mutex mu_;\n"
-      "  static int count_ GUARDED_BY(mu_);\n"
-      "};\n");
-  EXPECT_FALSE(hasRule(fs, "lock-discipline"));
-}
-
-TEST(ManetLintTest, LockDisciplineExternalResourceSuppressible) {
-  const auto fs = lintSource(
-      "src/util/x.cc",
-      "#include \"src/util/mutex.h\"\n"
-      "util::Mutex& dirMutex() {\n"
-      "  // manet-lint: allow(shared-mutable, lock-discipline): serializes\n"
-      "  // filesystem mkdir, an external resource with no members\n"
-      "  static util::Mutex m;\n"
-      "  return m;\n"
-      "}\n");
-  EXPECT_TRUE(fs.empty());
-}
-
-TEST(ManetLintTest, LockDisciplineExemptInMutexHeaderAndOutsideSrc) {
-  EXPECT_TRUE(lintSource("src/util/mutex.h",
-                         "#include <mutex>\n"
-                         "class Mutex {\n  std::mutex mu_;\n};\n")
-                  .empty());
-  EXPECT_TRUE(lintSource("tests/x_test.cc",
-                         "#include <mutex>\nstd::mutex g_mu;\n")
-                  .empty());
-}
-
-// ------------------------------------------------------- annotation-coverage
-
-TEST(ManetLintTest, AnnotationCoverageFlagsFileWithoutHeader) {
-  const auto fs = lintSource(
-      "src/core/x.cc",
-      "// manet-lint: allow(shared-mutable): audited observational counter\n"
-      "static int g_count = 0;\n");
-  ASSERT_TRUE(hasRule(fs, "annotation-coverage"));
-  EXPECT_EQ(lineOf(fs, "annotation-coverage"), 1);
-}
-
-TEST(ManetLintTest, AnnotationCoverageAcceptsDirectInclude) {
-  const auto fs = lintSource(
-      "src/core/x.cc",
-      "#include \"src/util/thread_annotations.h\"\n"
-      "// manet-lint: allow(shared-mutable): audited observational counter\n"
-      "static int g_count = 0;\n");
-  EXPECT_FALSE(hasRule(fs, "annotation-coverage"));
-}
-
-TEST(ManetLintTest, AnnotationCoverageAcceptsIncludeViaPairedHeader) {
-  // logging.cc picks the annotation header up through logging.h.
-  const auto fs = lintSource(
-      "src/util/x.cc",
-      "// manet-lint: allow(shared-mutable): audited observational counter\n"
-      "static int g_count = 0;\n",
-      "#include \"src/util/mutex.h\"\nclass X {};\n");
-  EXPECT_FALSE(hasRule(fs, "annotation-coverage"));
-}
-
-TEST(ManetLintTest, AnnotationCoverageSuppressible) {
-  const auto fs = lintSource(
-      "src/core/x.cc",
-      "// manet-lint: allow(shared-mutable, annotation-coverage): plain int\n"
-      "// consumed by report binaries only\n"
-      "static int g_flag = 0;\n");
-  EXPECT_FALSE(hasRule(fs, "annotation-coverage"));
-}
-
-// ---------------------------------------------------------------- bare-lock
-
-TEST(ManetLintTest, BareLockFlagsManualLockUnlock) {
-  const auto fs = lintSource("src/net/x.cc",
-                             "#include \"src/util/mutex.h\"\n"
-                             "void f(util::Mutex& mu) {\n"
-                             "  mu.lock();\n"
-                             "  mu.unlock();\n"
-                             "}\n");
-  ASSERT_TRUE(hasRule(fs, "bare-lock"));
-  EXPECT_EQ(lineOf(fs, "bare-lock"), 3);
-}
-
-TEST(ManetLintTest, BareLockFlagsPointerCallsToo) {
-  EXPECT_TRUE(hasRule(
-      lintSource("src/scenario/x.cc", "void f(M* m) { m->unlock(); }\n"),
-      "bare-lock"));
-}
-
-TEST(ManetLintTest, BareLockAcceptsRaiiScopes) {
-  const auto fs = lintSource("src/net/x.cc",
-                             "#include \"src/util/mutex.h\"\n"
-                             "void f(util::Mutex& mu) {\n"
-                             "  const util::MutexLock lock(mu);\n"
-                             "}\n");
-  EXPECT_FALSE(hasRule(fs, "bare-lock"));
-}
-
-TEST(ManetLintTest, BareLockSuppressibleAndScoped) {
-  const auto fs = lintSource(
-      "src/scenario/x.cc",
-      "void f(util::Mutex& mu) {\n"
-      "  // manet-lint: allow(bare-lock): audited handoff to the callee\n"
-      "  mu.lock();\n"
-      "}\n");
-  EXPECT_FALSE(hasRule(fs, "bare-lock"));
-  EXPECT_TRUE(lintSource("src/util/mutex.h",
-                         "void lock() { mu_.lock(); }\n")
-                  .empty());
-  EXPECT_TRUE(
-      lintSource("bench/x.cc", "void f(std::mutex& m) { m.lock(); }\n")
-          .empty());
-}
-
 // ------------------------------------------------------------------- SARIF
 
 TEST(ManetLintTest, SarifReportHasGithubConsumableShape) {
   const std::vector<Finding> findings = {
       {"src/core/x.cc", 12, "raw-rng", "process-global RNG"},
-      {"src/util/y.cc", 3, "bare-lock", "direct .lock()"},
+      {"src/util/y.cc", 3, "shared-mutable", "mutable 'static' object"},
   };
   std::string err;
   const auto doc = util::parseJson(sarifReport(findings), &err);
@@ -574,14 +431,14 @@ TEST(ManetLintTest, SarifEmptyFindingsStillValidates) {
 TEST(ManetLintTest, BudgetRoundTripsThroughFormatAndParse) {
   std::map<std::string, std::size_t> counts;
   counts["raw-rng"] = 2;
-  counts["bare-lock"] = 1;
+  counts["causal-id"] = 1;
   std::vector<std::string> errors;
   const auto parsed = parseBudget(formatBudget(counts), &errors);
   EXPECT_TRUE(errors.empty());
   // formatBudget writes the full catalog; absent rules round-trip as zero.
   ASSERT_EQ(parsed.size(), rules().size());
   EXPECT_EQ(parsed.at("raw-rng"), 2u);
-  EXPECT_EQ(parsed.at("bare-lock"), 1u);
+  EXPECT_EQ(parsed.at("causal-id"), 1u);
   EXPECT_EQ(parsed.at("wall-clock"), 0u);
 }
 
@@ -622,7 +479,7 @@ TEST(ManetLintTest, CheckBudgetPassesAtBaselineFailsOnGrowth) {
 
 TEST(ManetLintTest, CheckBudgetTreatsMissingEntriesAsZero) {
   std::map<std::string, std::size_t> counts;
-  counts["bare-lock"] = 1;
+  counts["causal-id"] = 1;
   EXPECT_EQ(checkBudget(counts, {}, nullptr), 1);
   EXPECT_EQ(checkBudget({}, {}, nullptr), 0);
 }
@@ -649,6 +506,27 @@ TEST(ManetLintTest, LintTreeReportsRepoRelativePathsFromAnyRootSpelling) {
   EXPECT_EQ(direct[0].file, "src/core/bad.cc");
   ASSERT_EQ(viaDots.size(), 1u);
   EXPECT_EQ(viaDots[0].file, "src/core/bad.cc");
+}
+
+// ---------------------------------------------------------- the real tree
+
+TEST(ManetLintTest, SourceTreeIsCleanAndWithinItsAllowBudget) {
+  const std::string root = MANET_SOURCE_DIR;
+  std::vector<std::string> scanned;
+  for (const Finding& f : lintTree(root, &scanned)) {
+    ADD_FAILURE() << formatFinding(f);
+  }
+  EXPECT_FALSE(scanned.empty());
+
+  std::ifstream in(root + "/tools/manet_lint/allow_budget.txt");
+  ASSERT_TRUE(in);
+  std::ostringstream baseline;
+  baseline << in.rdbuf();
+  std::vector<std::string> errors;
+  const auto budget = parseBudget(baseline.str(), &errors);
+  for (const std::string& e : errors) ADD_FAILURE() << e;
+  std::string report;
+  EXPECT_EQ(checkBudget(countAllows(root), budget, &report), 0) << report;
 }
 
 // ------------------------------------------------------------------- misc

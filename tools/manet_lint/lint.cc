@@ -9,6 +9,9 @@
 #include <regex>
 #include <set>
 #include <sstream>
+#include <string_view>
+
+#include "src/util/json.h"
 
 namespace manet::lint {
 namespace {
@@ -77,8 +80,7 @@ const std::vector<RuleInfo> kRules = {
      "must carry an allow comment stating why it cannot perturb results.",
      "Move the state onto the Scenario (or the object that owns the run); a "
      "deliberate process-wide sink keeps the global but adds an allow with "
-     "its safety argument and includes src/util/thread_annotations.h so the "
-     "sharing is under the annotation regime."},
+     "its safety argument: why it cannot perturb results."},
     {"causal-id",
      "Packet::make() without a causeUid link in protocol code",
      "The causal trace layer reconstructs why every packet exists from "
@@ -90,50 +92,6 @@ const std::vector<RuleInfo> kRules = {
      "Assign `p->causeUid = <triggering packet>->uid` inside the "
      "construction block; a true root origination (new application data) "
      "carries an allow naming it as such."},
-    {"subprocess",
-     "process spawning (fork/exec/posix_spawn/system/popen) in src/",
-     "Library code creating processes is invisible to the determinism "
-     "contract: a child inherits no scheduler, can deadlock a fork()ed "
-     "multithreaded parent, and its exit status rarely reaches the caller. "
-     "src/ has no spawn point: a failing sweep cell rethrows in task order "
-     "instead of being isolated in a child. tools/, tests/ and bench/ drive "
-     "binaries freely.",
-     "Move the spawn into tools/, tests/ or bench/, where driving binaries "
-     "is free; library code returns data to its caller instead."},
-    {"lock-discipline",
-     "mutex declared in src/ without a GUARDED_BY-annotated data set",
-     "A mutex that guards nothing the compiler can see is a data race "
-     "waiting to happen: Clang Thread Safety Analysis can only prove "
-     "lock discipline for members annotated GUARDED_BY(mu). Every mutex in "
-     "src/ must either guard annotated members or carry an allow naming the "
-     "external resource (file descriptor, stderr stream) it serializes.",
-     "Annotate the data the mutex protects — 'int x_ GUARDED_BY(mu_);' "
-     "(macros from src/util/thread_annotations.h) — or, if it serializes an "
-     "external resource with no in-process members, add an allow naming "
-     "that resource. Prefer util::Mutex over std::mutex so the analysis "
-     "sees acquisitions."},
-    {"annotation-coverage",
-     "allow(shared-mutable) in a file that lacks the thread-annotation "
-     "header",
-     "Every audited shared-mutable global is by definition thread-shared "
-     "state, which is exactly what the thread-safety annotation layer "
-     "exists to police. A file on the shared-mutable allowlist that does "
-     "not include src/util/thread_annotations.h (directly or via "
-     "src/util/mutex.h) has opted out of the compile-time race checks its "
-     "own suppression says it needs.",
-     "Add '#include \"src/util/thread_annotations.h\"' (or include "
-     "src/util/mutex.h, which pulls it in) and annotate the shared state's "
-     "locking contract where one exists."},
-    {"bare-lock",
-     "direct .lock()/.unlock() call outside the RAII wrappers in src/",
-     "A bare lock()/unlock() pair leaks the mutex on every early return and "
-     "exception path between them, and Clang Thread Safety Analysis cannot "
-     "match manually split acquire/release sites across branches. Critical "
-     "sections in src/ are MutexLock scopes; only src/util/mutex.h itself "
-     "touches the underlying std::mutex.",
-     "Replace the lock()/unlock() pair with a scoped 'const util::MutexLock "
-     "lock(mu);' block (narrow the block to the critical section); a "
-     "deliberate cross-scope handoff needs an allow with its audit."},
     {"bare-allow",
      "manet-lint allow() comment without a justification",
      "Every suppression must record why the flagged construct cannot perturb "
@@ -673,108 +631,6 @@ void checkCausalIds(const std::string& code,
   }
 }
 
-/// lock-discipline: a mutex declared in src/ must guard something the
-/// compiler can see — at least one member annotated GUARDED_BY(<name>) /
-/// PT_GUARDED_BY(<name>) in the same file or the paired header — or carry
-/// an allow naming the external resource (stderr stream, filesystem) it
-/// serializes. Matches both the annotated util::Mutex wrapper and raw std::
-/// mutex types, so an unannotated std::mutex that sneaks past the
-/// conversion is flagged too.
-void checkLockDiscipline(const std::string& code,
-                         const std::string& headerCode,
-                         const std::map<int, Allow>& allows,
-                         const std::string& relPath,
-                         std::vector<Finding>* out) {
-  static const std::regex kMutexDecl(
-      R"(\b(?:std::(?:recursive_|shared_|timed_)?mutex|(?:util::)?Mutex)\b)"
-      R"(\s+(\w+)\s*[;{=])");
-  for (auto it = std::sregex_iterator(code.begin(), code.end(), kMutexDecl);
-       it != std::sregex_iterator(); ++it) {
-    const std::string name = (*it)[1].str();
-    const std::regex guarded("\\b(?:PT_)?GUARDED_BY\\(\\s*" + name +
-                             "\\s*\\)");
-    if (std::regex_search(code, guarded) ||
-        (!headerCode.empty() && std::regex_search(headerCode, guarded))) {
-      continue;
-    }
-    const auto start = static_cast<std::size_t>(it->position(0));
-    const int line = 1 + static_cast<int>(std::count(
-                             code.begin(),
-                             code.begin() +
-                                 static_cast<std::ptrdiff_t>(start),
-                             '\n'));
-    if (isAllowed(allows, line, "lock-discipline")) continue;
-    out->push_back(
-        {relPath, line, "lock-discipline",
-         "mutex '" + name +
-             "' guards no GUARDED_BY-annotated data; annotate the members "
-             "it protects (src/util/thread_annotations.h) or allowlist the "
-             "external resource it serializes"});
-  }
-}
-
-/// annotation-coverage: a file carrying an allow(shared-mutable) marker has
-/// audited thread-shared state, so it must opt in to the compile-time
-/// annotation regime by including src/util/thread_annotations.h (directly
-/// or via src/util/mutex.h, which pulls it in). The include may live in the
-/// paired header — logging.cc gets it through logging.h. One finding per
-/// file, anchored at the first marker.
-void checkAnnotationCoverage(const std::string& content,
-                             const std::string& headerContent,
-                             const std::vector<std::string>& rawLines,
-                             const std::vector<std::string>& maskLines,
-                             const std::map<int, Allow>& allows,
-                             const std::string& relPath,
-                             std::vector<Finding>* out) {
-  const auto hasHeader = [](const std::string& text) {
-    return text.find("src/util/thread_annotations.h") != std::string::npos ||
-           text.find("src/util/mutex.h") != std::string::npos;
-  };
-  if (hasHeader(content) || hasHeader(headerContent)) return;
-  static const std::regex kSharedAllow(
-      R"(manet-lint:\s*allow\([^)]*\bshared-mutable\b)");
-  for (std::size_t i = 0; i < rawLines.size(); ++i) {
-    std::smatch m;
-    if (!std::regex_search(rawLines[i], m, kSharedAllow)) continue;
-    const auto pos = static_cast<std::size_t>(m.position(0));
-    if (i >= maskLines.size() || pos >= maskLines[i].size() ||
-        maskLines[i][pos] != 'c') {
-      continue;
-    }
-    const int line = static_cast<int>(i + 1);
-    if (isAllowed(allows, line, "annotation-coverage")) continue;
-    out->push_back(
-        {relPath, line, "annotation-coverage",
-         "allow(shared-mutable) in a file without the thread-annotation "
-         "header; include \"src/util/thread_annotations.h\" (or "
-         "src/util/mutex.h) so the shared state is under the annotation "
-         "regime"});
-    return;  // one finding per file is enough to drive the fix
-  }
-}
-
-/// bare-lock: direct .lock()/.unlock() calls in src/ leak on early returns
-/// and defeat Clang Thread Safety Analysis; critical sections are MutexLock
-/// scopes. Only src/util/mutex.h (the wrapper itself) touches the raw
-/// std::mutex.
-void checkBareLock(const std::vector<std::string>& codeLines,
-                   const std::map<int, Allow>& allows,
-                   const std::string& relPath, std::vector<Finding>* out) {
-  static const std::regex kBare(R"((\.|->)\s*(lock|unlock)\s*\(\s*\))");
-  for (std::size_t i = 0; i < codeLines.size(); ++i) {
-    std::smatch m;
-    if (!std::regex_search(codeLines[i], m, kBare)) continue;
-    const int line = static_cast<int>(i + 1);
-    if (isAllowed(allows, line, "bare-lock")) continue;
-    out->push_back(
-        {relPath, line, "bare-lock",
-         "direct ." + m[2].str() +
-             "() outside the RAII wrappers; hold the mutex through a "
-             "scoped util::MutexLock (src/util/mutex.h) so every exit "
-             "path releases it"});
-  }
-}
-
 // ------------------------------------------------------------- self-test
 
 struct Fixture {
@@ -869,7 +725,7 @@ const Fixture kFixtures[] = {
      nullptr},
     {"shared-mutable allowlisted", "src/util/ok_sink.cc",
      "#include \"src/util/mutex.h\"\nutil::Mutex& sinkMutex() {\n"
-     "  // manet-lint: allow(shared-mutable, lock-discipline): stderr\n"
+     "  // manet-lint: allow(shared-mutable): stderr\n"
      "  // serialization only, never read by simulation code\n"
      "  static util::Mutex m;\n  return m;\n}\n",
      nullptr},
@@ -903,104 +759,6 @@ const Fixture kFixtures[] = {
      nullptr},
     {"causal-id out of scope in tests", "tests/core/ok_test.cc",
      "void f() { auto p = net::Packet::make(); (void)p; }\n", nullptr},
-    {"subprocess system hit", "src/core/bad_spawn.cc",
-     "#include <cstdlib>\nint f() { return std::system(\"ls\"); }\n",
-     "subprocess"},
-    {"subprocess spawn hit", "src/net/bad_exec.cc",
-     "#include <spawn.h>\n"
-     "int f(char** a) { pid_t p; "
-     "return posix_spawnp(&p, a[0], nullptr, nullptr, a, nullptr); }\n",
-     "subprocess"},
-    {"subprocess allowlisted with a reason", "src/scenario/ok_spawn.cc",
-     "#include <spawn.h>\n"
-     "int f(char** a) {\n"
-     "  pid_t p;\n"
-     "  // manet-lint: allow(subprocess): audited one-off spawn\n"
-     "  return posix_spawnp(&p, a[0], nullptr, nullptr, a, nullptr);\n"
-     "}\n",
-     nullptr},
-    {"subprocess fine in tests", "tests/integration/ok_sys.cc",
-     "#include <cstdlib>\nint f() { return std::system(\"./bin\"); }\n",
-     nullptr},
-    {"subprocess fine in tools", "tools/manet_trace/ok_sys.cc",
-     "#include <cstdlib>\nint f() { return std::system(\"./bin\"); }\n",
-     nullptr},
-    {"lock-discipline hit", "src/core/bad_mutex.cc",
-     "#include \"src/util/mutex.h\"\n"
-     "class Tally {\n"
-     "  util::Mutex mu_;\n"
-     "  int hits_ = 0;\n"
-     "};\n",
-     "lock-discipline"},
-    {"lock-discipline std::mutex hit", "src/net/bad_std_mutex.cc",
-     "#include <mutex>\n"
-     "class Queue {\n"
-     "  std::mutex mu_;\n"
-     "  int depth_ = 0;\n"
-     "};\n",
-     "lock-discipline"},
-    {"lock-discipline guarded clean", "src/core/ok_mutex.cc",
-     "#include \"src/util/mutex.h\"\n"
-     "class Tally {\n"
-     "  util::Mutex mu_;\n"
-     "  int hits_ GUARDED_BY(mu_) = 0;\n"
-     "};\n",
-     nullptr},
-    {"lock-discipline external resource allowlisted",
-     "src/util/ok_mutex_allow.cc",
-     "#include \"src/util/mutex.h\"\n"
-     "util::Mutex& dirMutex() {\n"
-     "  // manet-lint: allow(shared-mutable, lock-discipline): serializes\n"
-     "  // mkdir against the filesystem, an external resource; no members\n"
-     "  static util::Mutex m;\n"
-     "  return m;\n"
-     "}\n",
-     nullptr},
-    {"lock-discipline and bare-lock exempt in mutex.h", "src/util/mutex.h",
-     "#include <mutex>\n"
-     "class Mutex {\n"
-     "  void lock() { mu_.lock(); }\n"
-     "  std::mutex mu_;\n"
-     "};\n",
-     nullptr},
-    {"annotation-coverage hit", "src/core/bad_cover.cc",
-     "// manet-lint: allow(shared-mutable): audited counter, observational\n"
-     "static int g_count = 0;\n",
-     "annotation-coverage"},
-    {"annotation-coverage clean with header", "src/core/ok_cover.cc",
-     "#include \"src/util/thread_annotations.h\"\n"
-     "// manet-lint: allow(shared-mutable): audited counter, observational\n"
-     "static int g_count = 0;\n",
-     nullptr},
-    {"annotation-coverage allowlisted", "src/core/ok_cover_allow.cc",
-     "// manet-lint: allow(shared-mutable, annotation-coverage): plain int\n"
-     "// read only by report binaries; annotations add no checking here\n"
-     "static int g_flag = 0;\n",
-     nullptr},
-    {"bare-lock hit", "src/net/bad_lock.cc",
-     "#include \"src/util/mutex.h\"\n"
-     "void f(util::Mutex& mu) {\n"
-     "  mu.lock();\n"
-     "  mu.unlock();\n"
-     "}\n",
-     "bare-lock"},
-    {"bare-lock RAII clean", "src/net/ok_lock.cc",
-     "#include \"src/util/mutex.h\"\n"
-     "void f(util::Mutex& mu) {\n"
-     "  const util::MutexLock lock(mu);\n"
-     "}\n",
-     nullptr},
-    {"bare-lock allowlisted", "src/scenario/ok_lock_allow.cc",
-     "#include \"src/util/mutex.h\"\n"
-     "void f(util::Mutex& mu) {\n"
-     "  // manet-lint: allow(bare-lock): audited handoff, released by callee\n"
-     "  mu.lock();\n"
-     "}\n",
-     nullptr},
-    {"bare-lock fine outside src", "tests/core/ok_lock_test.cc",
-     "#include <mutex>\n"
-     "void f(std::mutex& mu) {\n  mu.lock();\n  mu.unlock();\n}\n",
-     nullptr},
     {"comment mention clean", "src/core/ok_comment.cc",
      "// rand() and steady_clock are banned here; see DESIGN.md\nint x;\n",
      nullptr},
@@ -1053,30 +811,6 @@ std::filesystem::path canonicalRoot(const std::string& root) {
   if (ec || canon.empty()) canon = fs::absolute(fs::path(root), ec);
   if (ec || canon.empty()) canon = fs::path(root);
   return canon;
-}
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -1144,12 +878,6 @@ std::vector<Finding> lintSource(const std::string& relPath,
                          std::regex(R"(#\s*include\s*<iostream>)"),
                          "<iostream> in library code; use util::log or "
                          "return data to the caller"});
-    lineRules.push_back(
-        {"subprocess",
-         std::regex(R"(\b(fork|vfork|execve?|execvp?e?|execlp?e?|)"
-                    R"(posix_spawnp?|popen)\s*\(|\bsystem\s*\()"),
-         "process creation in library code; move it to tools/, tests/ or "
-         "bench/"});
   }
   applyLineRules(lineRules, codeLines, allows, relPath, &out);
 
@@ -1165,15 +893,6 @@ std::vector<Finding> lintSource(const std::string& relPath,
   }
   if (simCore && !startsWith(relPath, "src/net/packet.")) {
     checkCausalIds(lexed.code, codeLines, allows, relPath, &out);
-  }
-  if (inSrc && !startsWith(relPath, "src/util/mutex.")) {
-    checkLockDiscipline(lexed.code, headerCode, allows, relPath, &out);
-    checkBareLock(codeLines, allows, relPath, &out);
-  }
-  if (inSrc && !startsWith(relPath, "src/util/mutex.") &&
-      !startsWith(relPath, "src/util/thread_annotations.")) {
-    checkAnnotationCoverage(content, headerContent, rawLines, maskLines,
-                            allows, relPath, &out);
   }
 
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
@@ -1230,6 +949,13 @@ std::string sarifReport(const std::vector<Finding>& findings) {
   std::map<std::string, std::size_t> index;
   for (std::size_t i = 0; i < kRules.size(); ++i) index[kRules[i].id] = i;
 
+  // A JSON string literal: the value escaped and wrapped in quotes.
+  const auto quoted = [](std::string_view s) {
+    std::string out = "\"";
+    util::appendJsonEscaped(out, s);
+    return out + '"';
+  };
+
   std::ostringstream os;
   os << "{\n"
      << "  \"$schema\": "
@@ -1244,13 +970,12 @@ std::string sarifReport(const std::vector<Finding>& findings) {
   for (std::size_t i = 0; i < kRules.size(); ++i) {
     const RuleInfo& r = kRules[i];
     os << "            {\n"
-       << "              \"id\": \"" << jsonEscape(r.id) << "\",\n"
-       << "              \"shortDescription\": { \"text\": \""
-       << jsonEscape(r.summary) << "\" },\n"
-       << "              \"fullDescription\": { \"text\": \""
-       << jsonEscape(r.rationale) << "\" },\n"
-       << "              \"help\": { \"text\": \"" << jsonEscape(r.hint)
-       << "\" },\n"
+       << "              \"id\": " << quoted(r.id) << ",\n"
+       << "              \"shortDescription\": { \"text\": "
+       << quoted(r.summary) << " },\n"
+       << "              \"fullDescription\": { \"text\": "
+       << quoted(r.rationale) << " },\n"
+       << "              \"help\": { \"text\": " << quoted(r.hint) << " },\n"
        << "              \"defaultConfiguration\": { \"level\": \"error\" }\n"
        << "            }" << (i + 1 < kRules.size() ? "," : "") << "\n";
   }
@@ -1261,19 +986,19 @@ std::string sarifReport(const std::vector<Finding>& findings) {
   for (std::size_t i = 0; i < findings.size(); ++i) {
     const Finding& f = findings[i];
     os << "        {\n"
-       << "          \"ruleId\": \"" << jsonEscape(f.rule) << "\",\n";
+       << "          \"ruleId\": " << quoted(f.rule) << ",\n";
     const auto it = index.find(f.rule);
     if (it != index.end()) {
       os << "          \"ruleIndex\": " << it->second << ",\n";
     }
     os << "          \"level\": \"error\",\n"
-       << "          \"message\": { \"text\": \"" << jsonEscape(f.message)
-       << "\" },\n"
+       << "          \"message\": { \"text\": " << quoted(f.message)
+       << " },\n"
        << "          \"locations\": [\n"
        << "            {\n"
        << "              \"physicalLocation\": {\n"
        << "                \"artifactLocation\": {\n"
-       << "                  \"uri\": \"" << jsonEscape(f.file) << "\",\n"
+       << "                  \"uri\": " << quoted(f.file) << ",\n"
        << "                  \"uriBaseId\": \"%SRCROOT%\"\n"
        << "                },\n"
        << "                \"region\": { \"startLine\": " << f.line

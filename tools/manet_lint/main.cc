@@ -1,4 +1,4 @@
-// manet_lint CLI: determinism + concurrency-safety lint over the repo tree.
+// manet_lint CLI: determinism lint over the repo tree.
 //
 //   manet_lint [--root DIR]         lint src/ bench/ examples/ tests/
 //   manet_lint --sarif FILE         also write findings as SARIF 2.1.0
@@ -28,8 +28,8 @@ namespace {
 void usage() {
   std::fprintf(
       stderr,
-      "usage: manet_lint [--root DIR] [--fix-hints] [--quiet]\n"
-      "                  [--sarif FILE] [--budget FILE]\n"
+      "usage: manet_lint [--root DIR] [--fix-hints] [--sarif FILE]\n"
+      "                  [--budget FILE]\n"
       "       manet_lint [--root DIR] --check-budget | --write-budget\n"
       "       manet_lint --self-test | --list-rules\n");
 }
@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
   std::string sarifPath;
   std::string budgetPath;
   bool fixHints = false;
-  bool quiet = false;
   bool selfTest = false;
   bool listRules = false;
   bool checkBudget = false;
@@ -88,8 +87,6 @@ int main(int argc, char** argv) {
       writeBudget = true;
     } else if (arg == "--fix-hints") {
       fixHints = true;
-    } else if (arg == "--quiet" || arg == "-q") {
-      quiet = true;
     } else if (arg == "--self-test") {
       selfTest = true;
     } else if (arg == "--list-rules") {
@@ -137,10 +134,8 @@ int main(int argc, char** argv) {
                    budgetPath.c_str());
       return 2;
     }
-    if (!quiet) {
-      std::fprintf(stderr, "manet_lint: wrote allow budget to %s\n",
-                   budgetPath.c_str());
-    }
+    std::fprintf(stderr, "manet_lint: wrote allow budget to %s\n",
+                 budgetPath.c_str());
     return 0;
   }
 
@@ -184,14 +179,10 @@ int main(int argc, char** argv) {
                    sarifPath.c_str());
       return 2;
     }
-    if (!quiet) {
-      std::fprintf(stderr, "manet_lint: SARIF log written to %s\n",
-                   sarifPath.c_str());
-    }
+    std::fprintf(stderr, "manet_lint: SARIF log written to %s\n",
+                 sarifPath.c_str());
   }
-  if (!quiet) {
-    std::fprintf(stderr, "manet_lint: %zu file(s) scanned, %zu finding(s)\n",
-                 scanned.size(), findings.size());
-  }
+  std::fprintf(stderr, "manet_lint: %zu file(s) scanned, %zu finding(s)\n",
+               scanned.size(), findings.size());
   return findings.empty() ? 0 : 1;
 }
