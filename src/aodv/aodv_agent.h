@@ -51,7 +51,6 @@ class AodvAgent final : public net::RoutingAgent {
 
   // --- introspection ---
   const RouteEntry* route(net::NodeId dst) const;
-  std::size_t routeTableSize() const { return routes_.size(); }
 
  private:
   struct DiscoveryState {

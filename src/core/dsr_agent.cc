@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "src/core/cache_factory.h"
-#include "src/util/logging.h"
 
 namespace manet::core {
 namespace {

@@ -114,8 +114,6 @@ class RouteCache final : public RouteCacheBase {
   std::optional<RouteLookup> lookup(
       net::NodeId dest, const LinkFilter& acceptLink = {}) const override;
 
-  bool hasRouteTo(net::NodeId dest) const { return findRoute(dest).has_value(); }
-
   /// True if any stored path uses the directed link.
   bool containsLink(net::LinkId link) const override;
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/util/logging.h"
-
 namespace manet::mac {
 
 DcfMac::DcfMac(net::NodeId id, phy::Radio& radio, sim::Scheduler& sched,

@@ -15,8 +15,7 @@ namespace {
       "usage: %s [options]\n"
       "  --jobs N            worker threads (0 = MANET_JOBS or hardware "
       "concurrency)\n"
-      "  --scale TIER        tiny | quick | full (default quick; "
-      "REPRO_FULL=1 => full)\n"
+      "  --scale TIER        tiny | quick | full (default quick)\n"
       "  --seeds N           replications per sweep point (default: tier's "
       "count)\n"
       "  --filter AXIS=VALUE keep one value of a plan axis (repeatable)\n"
@@ -56,7 +55,7 @@ int parseInt(std::string_view flag, const char* s,
 }  // namespace
 
 BenchCli::BenchCli(int argc, char** argv, std::string benchName)
-    : benchName_(std::move(benchName)), scale_(benchScale()) {
+    : benchName_(std::move(benchName)), scale_(benchScaleNamed("quick")) {
   bool seedsSet = false;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];

@@ -4,8 +4,7 @@
 //   --jobs N            worker threads (0 = auto; default MANET_JOBS or
 //                       hardware concurrency). Output bytes are identical
 //                       for every value of N.
-//   --scale TIER        tiny | quick | full (default: quick, or full when
-//                       REPRO_FULL=1 — the legacy env knob still works)
+//   --scale TIER        tiny | quick | full (default: quick)
 //   --seeds N           mobility-seed replications per point (default:
 //                       the scale tier's replication count)
 //   --filter AXIS=VALUE restrict a plan axis to one value (repeatable);
@@ -37,7 +36,7 @@ class BenchCli {
   /// the usage text.
   BenchCli(int argc, char** argv, std::string benchName);
 
-  /// Scale tier (--scale, else REPRO_FULL, else quick).
+  /// Scale tier (--scale, else quick).
   const BenchScale& scale() const { return scale_; }
 
   /// Seed replications per point (--seeds, else the tier's count).

@@ -36,12 +36,6 @@ AggregateResult runReplicated(
   return std::move(sweep.points.at(0).agg);
 }
 
-BenchScale benchScale() {
-  const char* full = std::getenv("REPRO_FULL");  // NOLINT(concurrency-mt-unsafe)
-  if (full != nullptr && full[0] == '1') return benchScaleNamed("full");
-  return benchScaleNamed("quick");
-}
-
 BenchScale benchScaleNamed(std::string_view name) {
   if (name == "full") {
     return BenchScale{.numNodes = 100,

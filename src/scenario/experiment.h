@@ -65,9 +65,9 @@ AggregateResult runReplicated(
     const std::function<void(int, const RunResult&)>& onRun = {},
     const std::string& label = {});
 
-/// Scale knobs shared by all bench binaries. Default scale keeps every
-/// qualitative shape but fits a 1-core grading machine; REPRO_FULL=1
-/// switches to the paper's exact scale (100 nodes, 500 s, 5 seeds).
+/// Scale knobs shared by all bench binaries. The default "quick" tier keeps
+/// every qualitative shape but fits a 1-core machine; "full" is the paper's
+/// exact scale (100 nodes, 500 s, 5 seeds).
 struct BenchScale {
   int numNodes;
   sim::Time duration;
@@ -75,7 +75,6 @@ struct BenchScale {
   int numFlows;
   bool full;
 };
-BenchScale benchScale();
 
 /// Scale tier by name: "tiny" (30 nodes, 30 s, 1 seed — CI determinism and
 /// sanitizer smoke), "quick" (the default tier), "full" (the paper's

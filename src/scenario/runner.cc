@@ -14,7 +14,6 @@
 #include "src/telemetry/export.h"
 #include "src/telemetry/telemetry_config.h"
 #include "src/util/atomic_file.h"
-#include "src/util/logging.h"
 #include "src/util/mutex.h"
 
 namespace manet::scenario {
@@ -149,7 +148,11 @@ SweepResult runPlan(const ExperimentPlan& plan, RunnerOptions opts) {
     if (opts.progress) {
       const std::size_t done =
           doneTasks.fetch_add(1, std::memory_order_relaxed) + 1;
-      const util::MutexLock lock(util::stderrMutex());
+      // Concurrent workers must not interleave partial lines.
+      // manet-lint: allow(shared-mutable): serializes stderr writes only;
+      // never read by simulation code
+      static util::Mutex stderrMutex;
+      const util::MutexLock lock(stderrMutex);
       std::fprintf(stderr, "  [%zu/%zu] %s r%d: delivery %.3f, %.2fs wall\n",
                    done, numTasks, point.label.c_str(), rep,
                    r.metrics.packetDeliveryFraction(), r.wallSeconds);

@@ -38,8 +38,8 @@ struct RunnerOptions {
   /// 200 x seeds runs' series in memory; aggregates and exports are
   /// already complete without them.
   bool keepRuns = false;
-  /// Print one progress line per completed run to stderr (serialized
-  /// through util::stderrMutex).
+  /// Print one progress line per completed run to stderr (one whole line
+  /// per run, serialized across workers).
   bool progress = false;
   /// Observer invoked during the deterministic merge (plan order, then
   /// seed order) — NOT concurrently and NOT in completion order.

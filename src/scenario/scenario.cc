@@ -7,7 +7,6 @@
 
 #include "src/mobility/waypoint.h"
 #include "src/sim/rng.h"
-#include "src/util/logging.h"
 
 namespace manet::scenario {
 
@@ -91,21 +90,10 @@ Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg) {
         std::make_unique<telemetry::Sampler>(*network_, tel.samplePeriod);
     sampler_->start();
   }
-  if (tel.logLevel != util::LogLevel::kNone) {
-    util::setLogLevel(tel.logLevel);
-  }
   if (cfg_.invariantChecks || fault::InvariantChecker::enabledFromEnv()) {
     checker_ = std::make_unique<fault::InvariantChecker>(
         static_cast<std::size_t>(cfg_.numNodes));
     network_->tracer().addSink(checker_.get());
-  }
-  if (tel.captureLogs && network_->tracer().enabled()) {
-    network_->tracer().setLogCaptureLevel(tel.logLevel);
-    telemetry::Tracer* tracer = &network_->tracer();
-    util::setLogSink([tracer](util::LogLevel level, std::string_view msg) {
-      tracer->emitLog(level, msg);
-    });
-    logSinkInstalled_ = true;
   }
 
   sim::Rng mobilityRng(cfg.mobilitySeed);
@@ -160,10 +148,6 @@ void Scenario::scheduleCacheConsistencySweep(sim::Time at) {
         scheduleCacheConsistencySweep(at + sim::Time::seconds(1));
       },
       prof::Category::kTelemetry);
-}
-
-Scenario::~Scenario() {
-  if (logSinkInstalled_) util::setLogSink({});
 }
 
 RunResult Scenario::run() {

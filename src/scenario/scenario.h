@@ -98,6 +98,9 @@ struct RunResult {
 class Scenario {
  public:
   explicit Scenario(const ScenarioConfig& cfg);
+  // Scheduled callbacks capture `this`, so a Scenario never moves.
+  Scenario(const Scenario&) = delete;
+  Scenario& operator=(const Scenario&) = delete;
 
   net::Network& network() { return *network_; }
   const ScenarioConfig& config() const { return cfg_; }
@@ -114,8 +117,6 @@ class Scenario {
   /// The invariant checker, if installed for this run.
   const fault::InvariantChecker* checker() const { return checker_.get(); }
 
-  ~Scenario();
-
  private:
   ScenarioConfig cfg_;
   std::unique_ptr<net::Network> network_;
@@ -126,7 +127,6 @@ class Scenario {
   std::unique_ptr<telemetry::JsonlFileSink> jsonl_;
   std::unique_ptr<telemetry::Sampler> sampler_;
   std::unique_ptr<fault::InvariantChecker> checker_;
-  bool logSinkInstalled_ = false;
 
   void scheduleCacheConsistencySweep(sim::Time at);
 };

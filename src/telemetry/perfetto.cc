@@ -132,11 +132,10 @@ void perfettoEmitRecord(PerfettoWriter& w, const CausalRecord& r) {
     name += r.kind;
   }
   const bool fault = isFaultEvent(r.event);
-  const char* cat = fault                ? "fault"
-                    : r.uid != 0         ? "packet"
-                    : r.event == "log"   ? "log"
-                    : r.prov != 0        ? "cache"
-                                         : "protocol";
+  const char* cat = fault          ? "fault"
+                    : r.uid != 0   ? "packet"
+                    : r.prov != 0  ? "cache"
+                                   : "protocol";
   w.instant(name, cat, tsUs, kPerfettoNodesPid, r.node, perfettoArgs(r),
             /*globalScope=*/fault);
 }

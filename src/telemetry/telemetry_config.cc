@@ -1,36 +1,9 @@
 #include "src/telemetry/telemetry_config.h"
 
-#include <cctype>
 #include <cstdlib>
 #include <string_view>
 
 namespace manet::telemetry {
-
-namespace {
-
-bool iequals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-util::LogLevel parseLogLevel(const char* s, util::LogLevel fallback) {
-  if (s == nullptr) return fallback;
-  const std::string_view v(s);
-  if (iequals(v, "none") || v == "0") return util::LogLevel::kNone;
-  if (iequals(v, "error") || v == "1") return util::LogLevel::kError;
-  if (iequals(v, "info") || v == "2") return util::LogLevel::kInfo;
-  if (iequals(v, "debug") || v == "3") return util::LogLevel::kDebug;
-  if (iequals(v, "trace") || v == "4") return util::LogLevel::kTrace;
-  return fallback;
-}
 
 TelemetryConfig TelemetryConfig::fromEnv() { return fromEnv(TelemetryConfig{}); }
 
@@ -38,11 +11,6 @@ TelemetryConfig TelemetryConfig::fromEnv(TelemetryConfig base) {
   if (const char* v = std::getenv("MANET_TRACE_JSONL");  // NOLINT(concurrency-mt-unsafe)
       v != nullptr && v[0] != '\0') {
     base.traceJsonlPath = v;
-  }
-  if (const char* v = std::getenv("MANET_TRACE_RING");  // NOLINT(concurrency-mt-unsafe)
-      v != nullptr && v[0] != '\0') {
-    const long n = std::strtol(v, nullptr, 10);
-    base.ringCapacity = n > 0 ? static_cast<std::size_t>(n) : 0;
   }
   if (const char* v = std::getenv("MANET_SAMPLE_PERIOD");  // NOLINT(concurrency-mt-unsafe)
       v != nullptr && v[0] != '\0') {
@@ -60,12 +28,6 @@ TelemetryConfig TelemetryConfig::fromEnv(TelemetryConfig base) {
   if (const char* v = std::getenv("MANET_EXPORT_DIR");  // NOLINT(concurrency-mt-unsafe)
       v != nullptr && v[0] != '\0') {
     base.exportDir = v;
-  }
-  if (const char* v = std::getenv("MANET_LOG_LEVEL"); v != nullptr) {  // NOLINT(concurrency-mt-unsafe)
-    base.logLevel = parseLogLevel(v, base.logLevel);
-  }
-  if (const char* v = std::getenv("MANET_TRACE_LOGS"); v != nullptr) {  // NOLINT(concurrency-mt-unsafe)
-    base.captureLogs = v[0] == '1';
   }
   return base;
 }

@@ -1,16 +1,13 @@
 // Telemetry knobs: one struct switches tracing, sampling and structured
-// export for a run. Every knob has an environment-variable override so the
-// bench binaries become machine-readable without recompiling:
+// export for a run. Every knob but the in-memory ring has an
+// environment-variable override so the bench binaries become
+// machine-readable without recompiling:
 //
 //   MANET_TRACE_JSONL=<path>   stream every trace record to <path> as JSONL
 //                              (replicated runs get a .rN suffix per seed)
-//   MANET_TRACE_RING=<N>       keep the last N records in memory
 //   MANET_SAMPLE_PERIOD=<sec>  periodic time-series probe (0 = off)
 //   MANET_EXPORT_DIR=<dir>     runReplicated / Table write JSON + CSV
 //                              artifacts into <dir>
-//   MANET_LOG_LEVEL=<level>    none|error|info|debug|trace — one verbosity
-//                              config shared by util::log and trace capture
-//   MANET_TRACE_LOGS=1         mirror util::log lines into the trace
 #pragma once
 
 #include <cstddef>
@@ -18,12 +15,12 @@
 #include <string_view>
 
 #include "src/sim/time.h"
-#include "src/util/logging.h"
 
 namespace manet::telemetry {
 
 struct TelemetryConfig {
-  /// Keep the most recent `ringCapacity` records in memory (0 = off).
+  /// Keep the most recent `ringCapacity` records in memory (0 = off); set
+  /// in code only, since the ring is read in-process via Scenario::ring().
   std::size_t ringCapacity = 0;
   /// Stream records to this JSONL file ("" = off).
   std::string traceJsonlPath;
@@ -32,10 +29,6 @@ struct TelemetryConfig {
   sim::Time samplePeriod = sim::Time::zero();
   /// Directory for structured run artifacts ("" = off).
   std::string exportDir;
-  /// Verbosity applied to util::log for the run; also filters kLog records.
-  util::LogLevel logLevel = util::LogLevel::kNone;
-  /// Mirror util::log lines into the trace as kLog records.
-  bool captureLogs = false;
 
   /// `base` overlaid with any MANET_* environment overrides.
   static TelemetryConfig fromEnv(TelemetryConfig base);
@@ -54,9 +47,5 @@ std::string perRunPath(const std::string& path, int run);
 /// "trace.fig1_t0.25.r1.jsonl".
 std::string perRunPath(const std::string& path, std::string_view pointLabel,
                        int run);
-
-/// Parse "none|error|info|debug|trace" (case-insensitive; also accepts
-/// 0..4). Unknown strings return `fallback`.
-util::LogLevel parseLogLevel(const char* s, util::LogLevel fallback);
 
 }  // namespace manet::telemetry

@@ -3,7 +3,6 @@
 #include <cinttypes>
 
 #include "src/util/atomic_file.h"
-#include "src/util/json.h"
 
 namespace manet::telemetry {
 
@@ -37,8 +36,6 @@ const char* toString(TraceEvent e) {
       return "rerr_forward";
     case TraceEvent::kLinkBreak:
       return "link_break";
-    case TraceEvent::kLog:
-      return "log";
     case TraceEvent::kNodeCrash:
       return "node_crash";
     case TraceEvent::kNodeRecover:
@@ -89,7 +86,7 @@ TraceRecord packetRecord(TraceEvent event, sim::Time at, net::NodeId node,
   return r;
 }
 
-std::string toJson(const TraceRecord& r, std::string_view note) {
+std::string toJson(const TraceRecord& r) {
   char buf[256];
   std::string out;
   out.reserve(192);
@@ -131,12 +128,6 @@ std::string toJson(const TraceRecord& r, std::string_view note) {
                   static_cast<unsigned>(r.prov.hopsAtInsert));
     out += buf;
   }
-  const std::string_view n = note.empty() ? r.note : note;
-  if (!n.empty()) {
-    out += ",\"note\":\"";
-    util::appendJsonEscaped(out, n);
-    out += '"';
-  }
   out += '}';
   return out;
 }
@@ -149,19 +140,17 @@ RingBufferSink::RingBufferSink(std::size_t capacity)
 }
 
 void RingBufferSink::record(const TraceRecord& r) {
-  Stored s{r, std::string(r.note)};
-  s.rec.note = {};  // the string_view would dangle; keep the owned copy
   if (buf_.size() < capacity_) {
-    buf_.push_back(std::move(s));
+    buf_.push_back(r);
   } else {
-    buf_[head_] = std::move(s);
+    buf_[head_] = r;
     head_ = (head_ + 1) % capacity_;
   }
   ++total_;
 }
 
-std::vector<RingBufferSink::Stored> RingBufferSink::snapshot() const {
-  std::vector<Stored> out;
+std::vector<TraceRecord> RingBufferSink::snapshot() const {
+  std::vector<TraceRecord> out;
   out.reserve(buf_.size());
   for (std::size_t i = 0; i < buf_.size(); ++i) {
     out.push_back(buf_[(head_ + i) % buf_.size()]);

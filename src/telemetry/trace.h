@@ -22,13 +22,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/net/packet.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/time.h"
-#include "src/util/logging.h"
 
 namespace manet::telemetry {
 
@@ -50,7 +48,6 @@ enum class TraceEvent : std::uint8_t {
   kRerrForward,     // route error relayed (detail: 1 = wide rebroadcast)
   kLinkBreak,       // MAC retry exhaustion (detail: 1 = false positive,
                     // link geometrically still up)
-  kLog,             // util::log line captured into the trace (detail: level)
   // Fault-injection events (src/fault/).
   kNodeCrash,       // node's radio went down
   kNodeRecover,     // node's radio came back up (detail: 1 = caches wiped)
@@ -93,7 +90,6 @@ struct TraceRecord {
   /// whose route the packet follows, for kCacheHit the entry served.
   /// prov.id == 0 means "no cache entry involved" and suppresses emission.
   net::RouteProvenance prov{};
-  std::string_view note = {};     // only valid during record(); sinks copy
 };
 
 /// Fill the packet-scoped fields of a record from a packet.
@@ -102,7 +98,7 @@ TraceRecord packetRecord(TraceEvent event, sim::Time at, net::NodeId node,
                          DropReason reason = DropReason::kNone);
 
 /// Render a record as one JSON object (no trailing newline).
-std::string toJson(const TraceRecord& r, std::string_view note = {});
+std::string toJson(const TraceRecord& r);
 
 /// Sink interface: receives every record emitted while attached.
 class TraceSink {
@@ -115,11 +111,6 @@ class TraceSink {
 /// Bounded in-memory ring: keeps the most recent `capacity` records.
 class RingBufferSink final : public TraceSink {
  public:
-  struct Stored {
-    TraceRecord rec;   // rec.note is cleared; use `note` below
-    std::string note;
-  };
-
   explicit RingBufferSink(std::size_t capacity);
 
   void record(const TraceRecord& r) override;
@@ -129,14 +120,14 @@ class RingBufferSink final : public TraceSink {
   std::uint64_t totalRecorded() const { return total_; }
 
   /// Records in chronological order (oldest retained first).
-  std::vector<Stored> snapshot() const;
+  std::vector<TraceRecord> snapshot() const;
   void clear();
 
  private:
   std::size_t capacity_;
   std::size_t head_ = 0;  // next write position once full
   std::uint64_t total_ = 0;
-  std::vector<Stored> buf_;
+  std::vector<TraceRecord> buf_;
 };
 
 /// Streams records as JSON Lines to a file (one object per line), read back
@@ -182,30 +173,16 @@ class Tracer {
     for (TraceSink* s : sinks_) s->flush();
   }
 
-  /// Bind the simulation clock so sources without scheduler access (caches,
-  /// log capture) can stamp records.
+  /// Bind the simulation clock so sources without scheduler access (caches)
+  /// can stamp records.
   void bindClock(const sim::Scheduler* sched) { sched_ = sched; }
   sim::Time now() const {
     return sched_ != nullptr ? sched_->now() : sim::Time::zero();
   }
 
-  /// Capture a util::log line as a kLog record (shared verbosity: the
-  /// telemetry config drives both util::setLogLevel and this filter).
-  void emitLog(util::LogLevel level, std::string_view msg) {
-    if (!enabled() || level > logCaptureLevel_) return;
-    TraceRecord r;
-    r.at = now();
-    r.event = TraceEvent::kLog;
-    r.detail = static_cast<std::int64_t>(level);
-    r.note = msg;
-    emit(r);
-  }
-  void setLogCaptureLevel(util::LogLevel level) { logCaptureLevel_ = level; }
-
  private:
   std::vector<TraceSink*> sinks_;
   const sim::Scheduler* sched_ = nullptr;
-  util::LogLevel logCaptureLevel_ = util::LogLevel::kTrace;
 };
 
 }  // namespace manet::telemetry

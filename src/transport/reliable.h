@@ -76,8 +76,6 @@ class ReliableSender {
   sim::Time currentRto() const { return rto_; }
   std::uint64_t retransmissions() const { return retransmissions_; }
   std::uint64_t timeouts() const { return timeouts_; }
-  bool timerArmed() const { return timer_ != sim::kInvalidEvent; }
-  std::uint64_t inFlight() const { return sndNext_ - sndUna_; }
   /// Acked payload bytes per second of elapsed time since start().
   double goodputKbps(sim::Time now) const;
 

@@ -10,8 +10,8 @@
 // return or exception can leak a held lock. CI's `thread-safety` job builds
 // src/ with -Werror=thread-safety-*, which checks every acquire against its
 // release; the `tsan` job checks the runs themselves. src/ has two mutexes,
-// stderrMutex() and the mkdir lock in ensureParentDir; each serializes an
-// external resource, so no member is GUARDED_BY.
+// the runner's progress-line lock and the mkdir lock in ensureParentDir;
+// each serializes an external resource, so no member is GUARDED_BY.
 #pragma once
 
 #include <mutex>
@@ -30,7 +30,6 @@ class CAPABILITY("mutex") Mutex {
 
   void lock() ACQUIRE() { mu_.lock(); }
   void unlock() RELEASE() { mu_.unlock(); }
-  bool tryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   std::mutex mu_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace manet::util {
 
@@ -38,58 +37,6 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0 || hi <= lo) throw std::invalid_argument("bad histogram spec");
-}
-
-void Histogram::add(double x) {
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(frac * static_cast<double>(bins()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(bins()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::binLow(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(bins());
-}
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  const double binWidth = (hi_ - lo_) / static_cast<double>(bins());
-  for (std::size_t i = 0; i < bins(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      const double within =
-          counts_[i] == 0
-              ? 0.0
-              : (target - cum) / static_cast<double>(counts_[i]);
-      return binLow(i) + within * binWidth;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::size_t peak = 0;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t i = 0; i < bins(); ++i) {
-    const auto bar =
-        peak == 0 ? std::size_t{0} : counts_[i] * width / peak;
-    out += std::to_string(binLow(i)) + " | " + std::string(bar, '#') + " " +
-           std::to_string(counts_[i]) + "\n";
-  }
-  return out;
-}
 
 double quantile(std::vector<double> xs, double q) {
   if (xs.empty()) return 0.0;

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace manet::util {
@@ -28,27 +27,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bin. Used for link-lifetime and delay distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t totalCount() const { return total_; }
-  std::size_t binCount(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  double binLow(std::size_t i) const;
-  /// Linear-interpolated quantile in [0,1]; 0 if empty.
-  double quantile(double q) const;
-  std::string ascii(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Exact quantile over a stored sample set (fine for per-run aggregates).

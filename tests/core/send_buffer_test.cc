@@ -112,11 +112,11 @@ TEST(SendBufferTest, DropRecordsMatchMetricCounters) {
   EXPECT_EQ(m.dataDelivered, 0u);
 
   std::uint64_t overflowRecs = 0, timeoutRecs = 0;
-  for (const auto& s : ring.snapshot()) {
-    if (s.rec.event != telemetry::TraceEvent::kPktDrop) continue;
-    if (s.rec.reason == telemetry::DropReason::kSendBufferOverflow) {
+  for (const auto& r : ring.snapshot()) {
+    if (r.event != telemetry::TraceEvent::kPktDrop) continue;
+    if (r.reason == telemetry::DropReason::kSendBufferOverflow) {
       ++overflowRecs;
-    } else if (s.rec.reason == telemetry::DropReason::kSendBufferTimeout) {
+    } else if (r.reason == telemetry::DropReason::kSendBufferTimeout) {
       ++timeoutRecs;
     }
   }

@@ -105,8 +105,8 @@ TEST(DeterminismTest, StochasticFaultPlanIsSeedDeterministic) {
   };
   std::map<std::uint64_t, std::uint64_t> idsA, idsB;
   for (std::size_t i = 0; i < ra.size(); ++i) {
-    ASSERT_EQ(telemetry::toJson(canonical(ra[i].rec, idsA), ra[i].note),
-              telemetry::toJson(canonical(rb[i].rec, idsB), rb[i].note))
+    ASSERT_EQ(telemetry::toJson(canonical(ra[i], idsA)),
+              telemetry::toJson(canonical(rb[i], idsB)))
         << "first divergence at record " << i;
   }
 }

@@ -48,12 +48,11 @@ Capture run(const std::function<void(ScenarioConfig&)>& mutate) {
   std::map<std::uint64_t, std::uint64_t> ids;
   const auto ring = s.ring()->snapshot();
   EXPECT_LT(ring.size(), s.ring()->capacity()) << "ring wrapped; grow it";
-  for (const auto& entry : ring) {
-    telemetry::TraceRecord r = entry.rec;
+  for (telemetry::TraceRecord r : ring) {
     if (r.uid != 0) {
       r.uid = ids.emplace(r.uid, ids.size() + 1).first->second;
     }
-    cap.trace.push_back(telemetry::toJson(r, entry.note));
+    cap.trace.push_back(telemetry::toJson(r));
   }
   return cap;
 }

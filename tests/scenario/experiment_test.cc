@@ -2,13 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 namespace manet::scenario {
 namespace {
 
 TEST(ExperimentTest, PaperScenarioMatchesSection41) {
-  const BenchScale s = benchScale();
+  const BenchScale s = benchScaleNamed("quick");
   const ScenarioConfig cfg = paperScenario(s);
   EXPECT_EQ(cfg.field.x, 2200.0);
   EXPECT_EQ(cfg.field.y, 600.0);
@@ -20,22 +18,17 @@ TEST(ExperimentTest, PaperScenarioMatchesSection41) {
   EXPECT_EQ(cfg.duration, s.duration);
 }
 
-TEST(ExperimentTest, BenchScaleRespectsReproFullEnv) {
-  const char* old = std::getenv("REPRO_FULL");
-  setenv("REPRO_FULL", "1", 1);
-  const BenchScale full = benchScale();
+TEST(ExperimentTest, FullTierIsPaperScale) {
+  const BenchScale full = benchScaleNamed("full");
   EXPECT_TRUE(full.full);
   EXPECT_EQ(full.numNodes, 100);
   EXPECT_EQ(full.duration, sim::Time::seconds(500));
   EXPECT_EQ(full.replications, 5);
 
-  unsetenv("REPRO_FULL");
-  const BenchScale dflt = benchScale();
-  EXPECT_FALSE(dflt.full);
-  EXPECT_EQ(dflt.numNodes, 100);
-  EXPECT_LT(dflt.duration, full.duration);
-
-  if (old != nullptr) setenv("REPRO_FULL", old, 1);
+  const BenchScale quick = benchScaleNamed("quick");
+  EXPECT_FALSE(quick.full);
+  EXPECT_EQ(quick.numNodes, 100);
+  EXPECT_LT(quick.duration, full.duration);
 }
 
 TEST(ExperimentTest, ReplicationVariesMobilitySeedOnly) {

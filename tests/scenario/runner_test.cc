@@ -6,6 +6,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <regex>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -121,6 +124,43 @@ TEST(RunnerTest, OnRunObservesPlanOrderTimesSeedOrder) {
   const std::vector<std::pair<std::size_t, int>> want = {
       {0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 0}, {2, 1}};
   EXPECT_EQ(seen, want);
+}
+
+TEST(RunnerTest, ProgressPrintsOneWholeLinePerRun) {
+  const ExperimentPlan plan = tinyPausePlan(tinyConfig());
+  RunnerOptions opts;
+  opts.jobs = 2;  // two workers race to print
+  opts.replications = 2;
+  opts.progress = true;
+  opts.runFn = [](const SweepPoint& point, int rep, const ScenarioConfig&) {
+    return fakeRun(point.index, rep);
+  };
+  testing::internal::CaptureStderr();
+  const SweepResult sweep = runPlan(plan, opts);
+  const std::string err = testing::internal::GetCapturedStderr();
+
+  std::set<std::string> labels;
+  for (const PointResult& p : sweep.points) labels.insert(p.point.label);
+  ASSERT_EQ(labels.size(), 2u);
+  const std::regex line(R"(  \[([1-4])/4\] (\S+) r([01]): delivery \d\.\d{3}, )"
+                        R"(\d+\.\d{2}s wall)");
+  std::set<std::string> counters, cells;
+  std::istringstream in(err);
+  std::string text;
+  int lines = 0;
+  while (std::getline(in, text)) {
+    ++lines;
+    std::smatch m;
+    ASSERT_TRUE(std::regex_match(text, m, line)) << "torn line: " << text;
+    EXPECT_EQ(labels.count(m[2].str()), 1u) << text;
+    counters.insert(m[1].str());
+    cells.insert(m[2].str() + " r" + m[3].str());
+  }
+  EXPECT_EQ(lines, 4);
+  ASSERT_FALSE(err.empty());
+  EXPECT_EQ(err.back(), '\n');  // no trailing partial line
+  EXPECT_EQ(counters.size(), 4u);  // k runs 1..4, each once
+  EXPECT_EQ(cells.size(), 4u);     // every (point, rep) cell reported once
 }
 
 TEST(RunnerTest, EachReplicationGetsItsOwnMobilitySeed) {

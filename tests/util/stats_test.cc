@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <vector>
 
 namespace manet::util {
@@ -51,33 +50,6 @@ TEST(RunningStatsTest, MergeWithEmpty) {
   empty.merge(a);
   EXPECT_EQ(empty.count(), 1u);
   EXPECT_EQ(empty.mean(), 3.0);
-}
-
-TEST(HistogramTest, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(-100.0);  // clamps into first bin
-  h.add(100.0);   // clamps into last bin
-  EXPECT_EQ(h.totalCount(), 4u);
-  EXPECT_EQ(h.binCount(0), 2u);
-  EXPECT_EQ(h.binCount(9), 2u);
-}
-
-TEST(HistogramTest, QuantileMonotone) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 1000; ++i) h.add(i % 100);
-  const double q25 = h.quantile(0.25);
-  const double q50 = h.quantile(0.5);
-  const double q75 = h.quantile(0.75);
-  EXPECT_LE(q25, q50);
-  EXPECT_LE(q50, q75);
-  EXPECT_NEAR(q50, 50.0, 3.0);
-}
-
-TEST(HistogramTest, RejectsBadSpec) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 TEST(QuantileTest, ExactValues) {

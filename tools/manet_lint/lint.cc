@@ -65,18 +65,18 @@ const std::vector<RuleInfo> kRules = {
     {"iostream-include",
      "#include <iostream> in library code (src/)",
      "iostream drags in global constructors and encourages ad-hoc stdout "
-     "writes from library code; use util::log (captured by telemetry) or "
-     "return data to the caller. Binaries under bench/, examples/, tests/ "
-     "may print freely.",
-     "Drop the include; emit through util::log (MANET_INFO/...) or return "
-     "the data to the caller and let a binary print it."},
+     "writes from library code; emit a typed trace record or return data "
+     "to the caller. Binaries under bench/, examples/, tests/ may print "
+     "freely.",
+     "Drop the include; emit a trace record (src/telemetry/trace.h) or "
+     "return the data to the caller and let a binary print it."},
     {"shared-mutable",
      "non-const global/static-local state in src/ outside allowlisted sinks",
      "A mutable global or function-local static is shared by every Scenario "
      "in the process — and, under the parallel sweep runner, by every worker "
      "thread — so it either data-races or couples runs together and breaks "
      "bit-identical replay. Keep state per-Scenario; a true process-wide "
-     "sink (log level, stderr mutex) or a thread_local with a per-run reset "
+     "sink (stderr or mkdir mutex) or a thread_local with a per-run reset "
      "must carry an allow comment stating why it cannot perturb results.",
      "Move the state onto the Scenario (or the object that owns the run); a "
      "deliberate process-wide sink keeps the global but adds an allow with "
@@ -876,8 +876,8 @@ std::vector<Finding> lintSource(const std::string& relPath,
   if (inSrc) {
     lineRules.push_back({"iostream-include",
                          std::regex(R"(#\s*include\s*<iostream>)"),
-                         "<iostream> in library code; use util::log or "
-                         "return data to the caller"});
+                         "<iostream> in library code; emit a trace record "
+                         "or return data to the caller"});
   }
   applyLineRules(lineRules, codeLines, allows, relPath, &out);
 
