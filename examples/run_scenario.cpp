@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "src/core/dsr_config.h"
@@ -103,8 +104,12 @@ int main(int argc, char** argv) {
       staticTimeout = std::atof(next());
     } else if (!std::strcmp(a, "--cache")) {
       const std::string v = next();
-      structure = v == "link" ? core::CacheStructure::kLink
-                              : core::CacheStructure::kPath;
+      if (v == "path") structure = core::CacheStructure::kPath;
+      else if (v == "link") structure = core::CacheStructure::kLink;
+      else {
+        std::fprintf(stderr, "unknown cache %s\n", v.c_str());
+        return 2;
+      }
     } else if (!std::strcmp(a, "--capacity")) {
       capacity = static_cast<std::size_t>(std::atoll(next()));
     } else if (!std::strcmp(a, "--freshness")) {
@@ -136,23 +141,30 @@ int main(int argc, char** argv) {
   scenario::Table csv({"seed", "delivery", "delay_s", "overhead",
                        "throughput_kbps", "good_pct", "invalid_pct",
                        "link_breaks"});
-  const auto agg = scenario::runReplicated(
-      cfg, seeds,
-      [&](int i, const scenario::RunResult& r) {
-    const auto& m = r.metrics;
-    csv.addRow({std::to_string(i),
-                scenario::Table::num(m.packetDeliveryFraction(), 4),
-                scenario::Table::num(m.avgDelaySec(), 4),
-                scenario::Table::num(m.normalizedOverhead(), 2),
-                scenario::Table::num(m.throughputKbps(r.duration), 1),
-                scenario::Table::num(m.goodReplyPct(), 1),
-                scenario::Table::num(m.invalidCacheHitPct(), 1),
-                std::to_string(m.linkBreaksDetected)});
-    std::printf("  seed %d: delivery %.3f, delay %.3fs, overhead %.1f\n", i,
-                m.packetDeliveryFraction(), m.avgDelaySec(),
-                m.normalizedOverhead());
-      },
-      "run_scenario");
+  scenario::AggregateResult agg;
+  try {
+    agg = scenario::runReplicated(
+        cfg, seeds,
+        [&](int i, const scenario::RunResult& r) {
+      const auto& m = r.metrics;
+      csv.addRow({std::to_string(i),
+                  scenario::Table::num(m.packetDeliveryFraction(), 4),
+                  scenario::Table::num(m.avgDelaySec(), 4),
+                  scenario::Table::num(m.normalizedOverhead(), 2),
+                  scenario::Table::num(m.throughputKbps(r.duration), 1),
+                  scenario::Table::num(m.goodReplyPct(), 1),
+                  scenario::Table::num(m.invalidCacheHitPct(), 1),
+                  std::to_string(m.linkBreaksDetected)});
+      std::printf("  seed %d: delivery %.3f, delay %.3fs, overhead %.1f\n",
+                  i, m.packetDeliveryFraction(), m.avgDelaySec(),
+                  m.normalizedOverhead());
+        },
+        "run_scenario");
+  } catch (const std::invalid_argument& e) {
+    // A rejected config (e.g. --nodes 0 or --seeds 0) is a usage error.
+    std::fprintf(stderr, "run_scenario: %s\n", e.what());
+    return 2;
+  }
 
   std::printf(
       "\nmean over %d seed(s):\n"

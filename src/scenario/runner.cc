@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -14,7 +15,6 @@
 #include "src/telemetry/export.h"
 #include "src/telemetry/telemetry_config.h"
 #include "src/util/atomic_file.h"
-#include "src/util/mutex.h"
 
 namespace manet::scenario {
 
@@ -151,8 +151,8 @@ SweepResult runPlan(const ExperimentPlan& plan, RunnerOptions opts) {
       // Concurrent workers must not interleave partial lines.
       // manet-lint: allow(shared-mutable): serializes stderr writes only;
       // never read by simulation code
-      static util::Mutex stderrMutex;
-      const util::MutexLock lock(stderrMutex);
+      static std::mutex stderrMutex;
+      const std::lock_guard lock(stderrMutex);
       std::fprintf(stderr, "  [%zu/%zu] %s r%d: delivery %.3f, %.2fs wall\n",
                    done, numTasks, point.label.c_str(), rep,
                    r.metrics.packetDeliveryFraction(), r.wallSeconds);

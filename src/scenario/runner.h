@@ -5,7 +5,7 @@
 // Determinism contract (see DESIGN.md "Parallel experiment engine"):
 //  * Each task builds its own Scenario from its own config copy; runs share
 //    no mutable state (per-run RNG streams, run-local tracer/profiler,
-//    thread-local packet-uid counter and log sink).
+//    thread-local packet-uid counter).
 //  * Workers pull tasks from a shared queue in any order, but aggregation,
 //    onRun observation and export all happen after the barrier, in plan
 //    order x seed order — so aggregates, exported JSON/CSV and table rows

@@ -7,9 +7,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
 #include <string>
-
-#include "src/util/mutex.h"
 
 namespace manet::util {
 
@@ -21,8 +20,8 @@ void ensureParentDir(const std::string& path) {
   // fail.
   // manet-lint: allow(shared-mutable): process-wide mkdir serialization
   // only; never read by simulation code
-  static Mutex dirMutex;
-  const MutexLock lock(dirMutex);
+  static std::mutex dirMutex;
+  const std::lock_guard lock(dirMutex);
   std::error_code ec;
   std::filesystem::create_directories(p.parent_path(), ec);
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -631,142 +630,6 @@ void checkCausalIds(const std::string& code,
   }
 }
 
-// ------------------------------------------------------------- self-test
-
-struct Fixture {
-  const char* name;
-  const char* path;     // decides rule scoping
-  const char* content;
-  const char* expectRule;  // nullptr => must be clean
-};
-
-const Fixture kFixtures[] = {
-    {"raw-rng hit", "src/core/bad_rng.cc",
-     "int draw() { return rand() % 6; }\n", "raw-rng"},
-    {"raw-rng random_device hit", "src/mac/bad_dev.cc",
-     "#include <random>\nstd::random_device rd;\n", "raw-rng"},
-    {"raw-rng allowlisted", "src/core/ok_rng.cc",
-     "// manet-lint: allow(raw-rng): seeding doc example, never compiled in\n"
-     "int draw() { return rand() % 6; }\n",
-     nullptr},
-    {"raw-rng clean in rng.cc", "src/sim/rng.cc",
-     "std::uint64_t mix() { return 1; } // rand() lives here by design\n",
-     nullptr},
-    {"wall-clock hit", "src/net/bad_clock.cc",
-     "auto t0 = std::chrono::steady_clock::now();\n", "wall-clock"},
-    {"wall-clock allowed in prof", "src/prof/ok_clock.cc",
-     "auto t0 = std::chrono::steady_clock::now();\n", nullptr},
-    {"wall-clock allowed in bench", "bench/ok_clock.cc",
-     "auto t0 = std::chrono::high_resolution_clock::now();\n", nullptr},
-    {"unordered-iter hit", "src/core/bad_iter.cc",
-     "#include <unordered_map>\n"
-     "std::unordered_map<int, int> table_;\n"
-     "void f() { for (auto& [k, v] : table_) { (void)k; (void)v; } }\n",
-     "unordered-iter"},
-    {"unordered-iter begin hit", "src/sim/bad_begin.cc",
-     "#include <unordered_set>\n"
-     "std::unordered_set<int> seen_;\n"
-     "auto f() { return seen_.begin(); }\n",
-     "unordered-iter"},
-    {"unordered-iter lookup clean", "src/core/ok_lookup.cc",
-     "#include <unordered_map>\n"
-     "std::unordered_map<int, int> table_;\n"
-     "bool f(int k) { return table_.find(k) != table_.end(); }\n",
-     nullptr},
-    {"unordered-iter out of scope", "src/telemetry/ok_iter.cc",
-     "#include <unordered_map>\n"
-     "std::unordered_map<int, int> table_;\n"
-     "void f() { for (auto& [k, v] : table_) { (void)k; (void)v; } }\n",
-     nullptr},
-    {"sched-category hit", "src/traffic/bad_sched.cc",
-     "void f(manet::sim::Scheduler& s) {\n"
-     "  s.scheduleAt(manet::sim::Time::seconds(1), [] {});\n"
-     "}\n",
-     "sched-category"},
-    {"sched-category tagged clean", "src/traffic/ok_sched.cc",
-     "void f(manet::sim::Scheduler& s) {\n"
-     "  s.scheduleAfter(manet::sim::Time::seconds(1), [] {},\n"
-     "                  prof::Category::kTraffic);\n"
-     "}\n",
-     nullptr},
-    {"float-time hit", "src/mac/bad_time.cc",
-     "double f(manet::sim::Time t) { return t.toSeconds() * 2.0; }\n",
-     "float-time"},
-    {"float-time allowlisted", "src/mac/ok_time.cc",
-     "double f(manet::sim::Time t) {\n"
-     "  // manet-lint: allow(float-time): report-only value, never fed back\n"
-     "  return t.toSeconds() * 2.0;\n"
-     "}\n",
-     nullptr},
-    {"iostream hit", "src/util/bad_io.cc", "#include <iostream>\n",
-     "iostream-include"},
-    {"iostream fine in examples", "examples/ok_io.cpp",
-     "#include <iostream>\nint main() { std::cout << 1; }\n", nullptr},
-    {"bare allow flagged", "src/core/bad_allow.cc",
-     "// manet-lint: allow(raw-rng)\nint draw() { return rand() % 6; }\n",
-     "bare-allow"},
-    {"unknown rule flagged", "src/core/bad_rule.cc",
-     "// manet-lint: allow(raw-rgn): typo\nint x;\n", "unknown-rule"},
-    {"shared-mutable static hit", "src/core/bad_static.cc",
-     "int nextId() {\n  static int counter = 0;\n  return ++counter;\n}\n",
-     "shared-mutable"},
-    {"shared-mutable thread_local hit", "src/net/bad_tls.cc",
-     "thread_local unsigned t_scratch = 0;\n", "shared-mutable"},
-    {"shared-mutable g_ global hit", "src/util/bad_global.cc",
-     "#include <atomic>\nnamespace {\nstd::atomic<bool> g_flag{false};\n}\n",
-     "shared-mutable"},
-    {"shared-mutable const clean", "src/core/ok_static.cc",
-     "static const int kTableSize = 64;\n"
-     "static constexpr double kAlpha = 2.0;\n",
-     nullptr},
-    {"shared-mutable function decl clean", "src/core/ok_static_fn.cc",
-     "struct Packet {\n  static void resetUidCounter();\n};\n"
-     "static int helper(int x) { return x + 1; }\n",
-     nullptr},
-    {"shared-mutable allowlisted", "src/util/ok_sink.cc",
-     "#include \"src/util/mutex.h\"\nutil::Mutex& sinkMutex() {\n"
-     "  // manet-lint: allow(shared-mutable): stderr\n"
-     "  // serialization only, never read by simulation code\n"
-     "  static util::Mutex m;\n  return m;\n}\n",
-     nullptr},
-    {"shared-mutable fine outside src", "bench/ok_static.cc",
-     "static int callCount = 0;\n", nullptr},
-    {"causal-id hit", "src/core/bad_causal.cc",
-     "void f() {\n"
-     "  auto p = net::Packet::make();\n"
-     "  p->kind = net::PacketKind::kRouteReply;\n"
-     "}\n",
-     "causal-id"},
-    {"causal-id linked clean", "src/aodv/ok_causal.cc",
-     "void f(const net::PacketPtr& req) {\n"
-     "  auto p = net::Packet::make();\n"
-     "  p->kind = net::PacketKind::kRouteReply;\n"
-     "  p->causeUid = req->uid;\n"
-     "}\n",
-     nullptr},
-    {"causal-id root origination allowlisted", "src/transport/ok_root.cc",
-     "void f() {\n"
-     "  // manet-lint: allow(causal-id): new application data has no cause\n"
-     "  auto p = net::Packet::make();\n"
-     "  p->kind = net::PacketKind::kData;\n"
-     "}\n",
-     nullptr},
-    {"causal-id factory definition clean", "src/net/packet.cc",
-     "std::shared_ptr<Packet> Packet::make() {\n"
-     "  auto p = std::make_shared<Packet>();\n"
-     "  return p;\n"
-     "}\n",
-     nullptr},
-    {"causal-id out of scope in tests", "tests/core/ok_test.cc",
-     "void f() { auto p = net::Packet::make(); (void)p; }\n", nullptr},
-    {"comment mention clean", "src/core/ok_comment.cc",
-     "// rand() and steady_clock are banned here; see DESIGN.md\nint x;\n",
-     nullptr},
-    {"string mention clean", "src/core/ok_string.cc",
-     "const char* kMsg = \"do not call rand() or iterate unordered_map\";\n",
-     nullptr},
-};
-
 // ------------------------------------------------------------- tree walk
 
 /// Default scan roots and extensions, shared by lintTree and countAllows so
@@ -1122,55 +985,6 @@ int checkBudget(const std::map<std::string, std::size_t>& counts,
                              : "allow budget exceeded\n";
   }
   return overages == 0 ? 0 : 1;
-}
-
-int runSelfTest() {
-  int failures = 0;
-  // Every rule must be documented end to end: what it flags, why it
-  // exists, and how to fix a finding (--fix-hints must never be blank).
-  for (const RuleInfo& r : kRules) {
-    if (r.summary == nullptr || *r.summary == '\0' ||
-        r.rationale == nullptr || *r.rationale == '\0' ||
-        r.hint == nullptr || *r.hint == '\0') {
-      ++failures;
-      std::fprintf(stderr,
-                   "self-test FAIL: rule '%s' is missing its summary, "
-                   "rationale or fix hint\n",
-                   r.id);
-    }
-  }
-  for (const Fixture& fx : kFixtures) {
-    const std::vector<Finding> found = lintSource(fx.path, fx.content);
-    if (fx.expectRule == nullptr) {
-      if (!found.empty()) {
-        ++failures;
-        std::fprintf(stderr, "self-test FAIL: '%s' expected clean, got:\n",
-                     fx.name);
-        for (const Finding& f : found) {
-          std::fprintf(stderr, "  %s\n", formatFinding(f).c_str());
-        }
-      }
-      continue;
-    }
-    const bool hit =
-        std::any_of(found.begin(), found.end(),
-                    [&](const Finding& f) { return f.rule == fx.expectRule; });
-    if (!hit) {
-      ++failures;
-      std::fprintf(stderr,
-                   "self-test FAIL: '%s' expected a [%s] finding, got %zu "
-                   "finding(s)\n",
-                   fx.name, fx.expectRule, found.size());
-      for (const Finding& f : found) {
-        std::fprintf(stderr, "  %s\n", formatFinding(f).c_str());
-      }
-    }
-  }
-  if (failures == 0) {
-    std::fprintf(stderr, "manet_lint self-test: %zu fixtures ok\n",
-                 std::size(kFixtures));
-  }
-  return failures == 0 ? 0 : 1;
 }
 
 }  // namespace manet::lint

@@ -103,9 +103,4 @@ int checkBudget(const std::map<std::string, std::size_t>& counts,
                 const std::map<std::string, std::size_t>& budget,
                 std::string* report);
 
-/// Run the embedded fixture suite: every rule must flag its seeded
-/// violation, honour its allowlisted variant, and pass its clean variant.
-/// Returns 0 on success; prints failures to stderr.
-int runSelfTest();
-
 }  // namespace manet::lint

@@ -6,12 +6,10 @@
 //   manet_lint --write-budget       regenerate the allow-budget baseline
 //   manet_lint --budget FILE        baseline path (default
 //                                   <root>/tools/manet_lint/allow_budget.txt)
-//   manet_lint --self-test          run the embedded fixture suite
 //   manet_lint --list-rules         print rule ids and summaries
 //   manet_lint --fix-hints          append each rule's fix hint + rationale
 //
-// Exit codes: 0 clean, 1 findings (or self-test/budget failure), 2 usage
-// error.
+// Exit codes: 0 clean, 1 findings (or budget failure), 2 usage error.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -31,7 +29,7 @@ void usage() {
       "usage: manet_lint [--root DIR] [--fix-hints] [--sarif FILE]\n"
       "                  [--budget FILE]\n"
       "       manet_lint [--root DIR] --check-budget | --write-budget\n"
-      "       manet_lint --self-test | --list-rules\n");
+      "       manet_lint --list-rules\n");
 }
 
 bool writeFile(const std::string& path, const std::string& content) {
@@ -56,7 +54,6 @@ int main(int argc, char** argv) {
   std::string sarifPath;
   std::string budgetPath;
   bool fixHints = false;
-  bool selfTest = false;
   bool listRules = false;
   bool checkBudget = false;
   bool writeBudget = false;
@@ -87,8 +84,6 @@ int main(int argc, char** argv) {
       writeBudget = true;
     } else if (arg == "--fix-hints") {
       fixHints = true;
-    } else if (arg == "--self-test") {
-      selfTest = true;
     } else if (arg == "--list-rules") {
       listRules = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -112,7 +107,6 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (selfTest) return manet::lint::runSelfTest();
 
   if (!std::filesystem::exists(std::filesystem::path(root) / "src")) {
     std::fprintf(stderr,
