@@ -8,7 +8,7 @@
 //     found by shortest-path search.
 // Both are implemented here behind one interface so every caching technique
 // (expiry, wider errors, negative caches) composes with either structure;
-// bench/ablation_knobs compares them.
+// the ablation_knobs bench plan compares them.
 #pragma once
 
 #include <functional>

@@ -31,7 +31,7 @@ struct DsrConfig {
   /// The paper's alpha is unreadable in the scanned text; its stated
   /// calibration target is that adaptive selection should track the optimal
   /// static timeout. alpha = 2 puts the adaptive T right at our substrate's
-  /// static optimum (~2 s at pause 0); bench/ablation_knobs sweeps it.
+  /// static optimum (~2 s at pause 0); the ablation_knobs plan sweeps it.
   double adaptiveAlpha = 2.0;
   sim::Time adaptiveMinTimeout = sim::Time::seconds(1);
   sim::Time expiryCheckPeriod = sim::Time::millis(500);  // paper: 0.5 s
@@ -52,7 +52,7 @@ struct DsrConfig {
   /// multi-minute residence at our insertion rates while bounding memory.
   std::size_t routeCacheCapacity = 128;
   /// Cache organization: the paper's path cache, or the Hu & Johnson style
-  /// graph link cache (compared in bench/ablation_knobs).
+  /// graph link cache (compared in the ablation_knobs plan).
   CacheStructure cacheStructure = CacheStructure::kPath;
 
   // ---- extension (the paper's future work): route freshness tagging ----

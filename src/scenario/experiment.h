@@ -65,7 +65,7 @@ AggregateResult runReplicated(
     const std::function<void(int, const RunResult&)>& onRun = {},
     const std::string& label = {});
 
-/// Scale knobs shared by all bench binaries. The default "quick" tier keeps
+/// Scale knobs shared by all bench plans. The default "quick" tier keeps
 /// every qualitative shape but fits a 1-core machine; "full" is the paper's
 /// exact scale (100 nodes, 500 s, 5 seeds).
 struct BenchScale {
