@@ -561,10 +561,10 @@ void BM_SchedulerHold(benchmark::State& state) {
 BENCHMARK(BM_SchedulerHold)->Arg(1000);
 
 // Phy fan-out shape: `chains` transmitters take turns on the air. Each
-// transmission dispatch schedules 16 interleaved (rxStart, rxEnd) pairs,
-// at now + 1 us and at end + 1 us, as Channel::transmit does for 16
-// receivers, plus the chain's next transmission after the frame and a
-// backoff. Equal-time keys arrive in bursts, which the queue's runs absorb.
+// transmission dispatch schedules a 16-member rxStart group at now + 1 us
+// and a 16-member rxEnd group at end + 1 us, as Channel::transmit does for
+// 16 receivers, plus the chain's next transmission after the frame and a
+// backoff. Every member counts as one event.
 class FanoutModel {
  public:
   explicit FanoutModel(int chains) {
@@ -574,7 +574,7 @@ class FanoutModel {
   std::uint64_t sum() const { return sum_; }
 
  private:
-  static constexpr int kReceivers = 16;
+  static constexpr std::uint32_t kReceivers = 16;
 
   std::int64_t draw(std::int64_t n) {
     x_ ^= x_ << 13;
@@ -585,11 +585,12 @@ class FanoutModel {
   void transmit() {
     const sim::Time start = sched_.now() + sim::Time::micros(1);
     const sim::Time end = start + sim::Time::micros(100 + draw(2000));
-    for (int r = 0; r < kReceivers; ++r) {
-      sched_.scheduleAt(start, [this, r] { sum_ += static_cast<unsigned>(r); });
-      const std::array<std::uint64_t, 5> frame{x_, 1, 2, 3, 4};
-      sched_.scheduleAt(end, [this, frame] { sum_ += frame[0] + frame[4]; });
-    }
+    sched_.scheduleGroup(start, kReceivers,
+                         [this](std::uint32_t r) { sum_ += r; });
+    const std::array<std::uint64_t, 5> frame{x_, 1, 2, 3, 4};
+    sched_.scheduleGroup(end, kReceivers, [this, frame](std::uint32_t) {
+      sum_ += frame[0] + frame[4];
+    });
     sched_.scheduleAt(end + sim::Time::micros(10 + draw(600)),
                       [this] { transmit(); });
   }

@@ -22,45 +22,46 @@ sim::Time Channel::transmit(Radio& sender, const mac::Frame& f) {
   // ordering — and therefore every downstream tie-break — is identical
   // whichever index implementation is configured.
   //
-  // The frame is copied once, into an in-flight record its receivers'
-  // rxEnd events share (the sender's copy may be reused). A transmission
-  // that reaches no radio never takes a record.
-  std::uint32_t rec = kNoRecord;
-  index_->forEachInRange(
-      pos, cfg_.rangeMeters, now, &sender, [&](Radio& r, double d) {
-        Radio* rp = &r;
-        sched_.scheduleAt(
-            now + cfg_.propagationDelay,
-            [rp, txId, d] { rp->rxStart(txId, d); }, prof::Category::kPhy);
-        if (rec == kNoRecord) rec = hold(f);
-        ++inFlight_[rec].pending;
-        sched_.scheduleAt(
-            end + cfg_.propagationDelay,
-            [this, rp, txId, rec] { endRx(*rp, txId, rec); },
-            prof::Category::kPhy);
-      });
-  return end;
-}
-
-std::uint32_t Channel::hold(const mac::Frame& f) {
+  // Receivers are collected into a free in-flight record, which keeps the
+  // frame only if some radio hears it (the sender's copy may be reused).
   if (freeInFlight_.empty()) {
-    inFlight_.push_back(InFlight{f, 0});
-    return static_cast<std::uint32_t>(inFlight_.size() - 1);
+    freeInFlight_.push_back(static_cast<std::uint32_t>(inFlight_.size()));
+    inFlight_.emplace_back();
   }
   const std::uint32_t rec = freeInFlight_.back();
+  InFlight* const tx = &inFlight_[rec];
+  index_->forEachInRange(pos, cfg_.rangeMeters, now, &sender,
+                         [tx](Radio& r, double d) {
+                           tx->receivers.push_back(Receiver{&r, d});
+                         });
+  if (tx->receivers.empty()) return end;
   freeInFlight_.pop_back();
-  inFlight_[rec].frame = f;
-  return rec;
-}
+  tx->frame = f;
 
-void Channel::endRx(Radio& r, std::uint64_t txId, std::uint32_t rec) {
-  // Runs for every receiver, up or down, so the count always reaches 0.
-  InFlight& tx = inFlight_[rec];
-  r.rxEnd(txId, tx.frame);
-  if (--tx.pending == 0) {
-    tx.frame = mac::Frame{};  // drop the payload with the last reception
-    freeInFlight_.push_back(rec);
-  }
+  // Nothing else is scheduled while transmit runs, so the two groups'
+  // members hold the (time, seq) positions one rxStart and one rxEnd event
+  // per receiver would. rxEnd runs for every receiver, up or down, so the
+  // last one always frees the record.
+  const auto n = static_cast<std::uint32_t>(tx->receivers.size());
+  sched_.scheduleGroup(
+      now + cfg_.propagationDelay, n,
+      [tx, txId](std::uint32_t i) {
+        const Receiver& r = tx->receivers[i];
+        r.radio->rxStart(txId, r.distance);
+      },
+      prof::Category::kPhy);
+  sched_.scheduleGroup(
+      end + cfg_.propagationDelay, n,
+      [this, tx, rec, txId](std::uint32_t i) {
+        tx->receivers[i].radio->rxEnd(txId, tx->frame);
+        if (i + 1 == tx->receivers.size()) {
+          tx->frame = mac::Frame{};  // drop the payload with the last reception
+          tx->receivers.clear();
+          freeInFlight_.push_back(rec);
+        }
+      },
+      prof::Category::kPhy);
+  return end;
 }
 
 bool Channel::carrierBusy(const Radio& r) const {

@@ -5,6 +5,11 @@
 // transmitter's position at transmission start; overlapping receptions at a
 // radio corrupt each other (receiver-side collision), which is what makes
 // hidden terminals, request storms and congestion behave realistically.
+//
+// Each transmission's receptions are two scheduler groups
+// (sim::Scheduler::scheduleGroup): one rxStart per receiver at the start
+// instant and one rxEnd per receiver at the end instant, in attach order.
+// Every reception is still its own dispatched event.
 #pragma once
 
 #include <cstdint>
@@ -69,8 +74,9 @@ class Channel {
   const NeighborIndex& neighborIndex() const { return *index_; }
 
   /// Begin transmitting `f` from `sender`; schedules reception start/end at
-  /// every radio in range, all ends sharing one copy of `f`. Returns when
-  /// the transmission will end.
+  /// every radio in range as one rxStart and one rxEnd group, both reading
+  /// one copy of `f` and one receiver list. Returns when the transmission
+  /// will end.
   sim::Time transmit(Radio& sender, const mac::Frame& f);
 
   /// Carrier sense for `r`: true if any ongoing transmission (including its
@@ -92,6 +98,9 @@ class Channel {
 
   const PhyConfig& config() const { return cfg_; }
   sim::Scheduler& scheduler() { return sched_; }
+  /// In-flight records allocated so far: the most transmissions ever in
+  /// the air at once, since a record is reused once its last rxEnd ran.
+  std::size_t inFlightRecords() const { return inFlight_.size(); }
 
  private:
   struct ActiveTx {
@@ -100,26 +109,26 @@ class Channel {
     sim::Time end;
   };
 
-  /// One transmission's frame, shared by the rxEnd events of all its
-  /// receivers.
+  struct Receiver {
+    Radio* radio;
+    double distance;  // from the sender at transmission start
+  };
+  /// One transmission's frame and receivers (attach order), read by its
+  /// rxStart and rxEnd groups; member i is receiver i.
   struct InFlight {
     mac::Frame frame;
-    std::uint32_t pending = 0;  // rxEnd events still to run
+    std::vector<Receiver> receivers;
   };
-  static constexpr std::uint32_t kNoRecord = UINT32_MAX;
 
   void prune() const;
-  /// A free in-flight record holding a copy of `f`, with no receivers yet.
-  std::uint32_t hold(const mac::Frame& f);
-  /// One receiver's end of reception; the last one releases the record.
-  void endRx(Radio& r, std::uint64_t txId, std::uint32_t rec);
 
   sim::Scheduler& sched_;
   PhyConfig cfg_;
   std::unique_ptr<NeighborIndex> index_;
   mutable std::vector<ActiveTx> active_;
-  /// In-flight records, recycled through freeInFlight_. A deque, so a
-  /// frame stays put while a receive handler that reads it transmits.
+  /// In-flight records, recycled through freeInFlight_ (a freed record is
+  /// empty). A deque, so a record stays put while a receive handler that
+  /// reads it transmits.
   std::deque<InFlight> inFlight_;
   std::vector<std::uint32_t> freeInFlight_;
   std::uint64_t nextTxId_ = 1;

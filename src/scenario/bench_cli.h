@@ -44,12 +44,6 @@ class BenchCli {
   /// seed count per point (--seeds, else the tier's count).
   const BenchScale& scale() const { return scale_; }
 
-  /// Seed replications per point.
-  int replications() const { return scale_.replications; }
-
-  /// Requested worker count (0 = resolveJobs default).
-  int jobs() const { return jobs_; }
-
   /// Runner options carrying jobs / replications / --progress. Callers add
   /// onRun / runFn / keepRuns as needed.
   RunnerOptions runnerOptions() const;

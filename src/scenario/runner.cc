@@ -78,14 +78,6 @@ void probeWritableDir(const std::string& dir) {
 
 }  // namespace
 
-const AggregateResult& SweepResult::at(std::string_view label) const {
-  for (const PointResult& p : points) {
-    if (p.point.label == label) return p.agg;
-  }
-  throw std::out_of_range("sweep result has no point labelled '" +
-                          std::string(label) + "'");
-}
-
 int resolveJobs(int jobs) {
   if (jobs >= 1) return jobs;
   if (const char* v = std::getenv("MANET_JOBS"); v != nullptr && v[0] != '\0') {  // NOLINT(concurrency-mt-unsafe)
@@ -246,8 +238,7 @@ Table pointTable(const ExperimentPlan& plan, const SweepResult& result) {
 }
 
 Table pivotTable(const ExperimentPlan& plan, const SweepResult& result,
-                 const std::string& metricName,
-                 const std::string& rowHeader) {
+                 const std::string& metricName) {
   if (plan.axes().size() != 2) {
     throw std::invalid_argument("pivotTable needs exactly 2 axes, plan '" +
                                 plan.name() + "' has " +
@@ -264,7 +255,7 @@ Table pivotTable(const ExperimentPlan& plan, const SweepResult& result,
   const Axis& rows = plan.axes()[0];
   const Axis& cols = plan.axes()[1];
   std::vector<std::string> header;
-  header.push_back(rowHeader.empty() ? rows.name : rowHeader);
+  header.push_back(rows.name);
   for (const AxisValue& c : cols.values) header.push_back(c.label);
   Table table(header);
   // points() is row-major (first axis slowest), so the grid is contiguous.

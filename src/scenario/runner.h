@@ -61,10 +61,6 @@ struct SweepResult {
   double wallSeconds = 0.0;         // whole-sweep wall time
   int jobs = 1;                     // resolved worker count actually used
   int replications = 1;
-
-  /// The aggregate for the point with the given export label; throws
-  /// std::out_of_range when absent.
-  const AggregateResult& at(std::string_view label) const;
 };
 
 /// Resolve a --jobs request: n >= 1 is taken as-is; n <= 0 falls back to
@@ -82,9 +78,8 @@ Table pointTable(const ExperimentPlan& plan, const SweepResult& result);
 
 /// Pivot a two-axis plan: rows = first-axis values, columns = second-axis
 /// values, cells = `metricName` (which must be registered on the plan).
-/// `rowHeader` overrides the first column's title (default: the axis name).
+/// The first column's title is the first axis's name.
 Table pivotTable(const ExperimentPlan& plan, const SweepResult& result,
-                 const std::string& metricName,
-                 const std::string& rowHeader = "");
+                 const std::string& metricName);
 
 }  // namespace manet::scenario

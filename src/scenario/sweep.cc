@@ -18,15 +18,6 @@ std::string sanitizeLabel(std::string_view s) {
   return out;
 }
 
-std::string_view SweepPoint::coordinate(const ExperimentPlan& plan,
-                                        std::string_view axis) const {
-  const std::vector<Axis>& axes = plan.axes();
-  for (std::size_t i = 0; i < axes.size() && i < coordinates.size(); ++i) {
-    if (axes[i].name == axis) return coordinates[i];
-  }
-  return {};
-}
-
 ExperimentPlan::ExperimentPlan(std::string name, ScenarioConfig base)
     : name_(std::move(name)), base_(std::move(base)) {}
 

@@ -45,11 +45,6 @@ struct SweepPoint {
   std::vector<std::string> coordinates;  // one value label per axis
   std::string label;                     // unique filename-safe export label
   ScenarioConfig config;                 // base + every axis mutator applied
-
-  /// The label of the axis named `axis` ("" when the plan has no such
-  /// axis). `plan` supplies the axis order.
-  std::string_view coordinate(const class ExperimentPlan& plan,
-                              std::string_view axis) const;
 };
 
 /// A named column derived from a point's aggregate (delivery fraction,

@@ -8,7 +8,9 @@
 // of inline storage and falls back to the heap only for larger ones.
 //
 // Semantics are the minimal subset the Scheduler needs: construct a
-// callable in place, invoke it, destroy it. No copy, no move, no target(),
+// callable in place, invoke it, destroy it. The call passes the index of
+// the group member being dispatched (Scheduler::scheduleGroup); a nullary
+// callable ignores it. No copy, no move, no target(),
 // no allocator awareness. The Scheduler keeps each EventFn in a slot whose
 // address never changes, builds the closure there with emplace() and runs
 // it there, so a closure is never relocated. Dispatch goes through a
@@ -18,6 +20,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -43,7 +46,8 @@ class EventFn {
   template <typename F, typename Fn = std::decay_t<F>,
             typename = std::enable_if_t<
                 !std::is_same_v<Fn, EventFn> &&
-                std::is_invocable_r_v<void, Fn&>>>
+                (std::is_invocable_r_v<void, Fn&> ||
+                 std::is_invocable_r_v<void, Fn&, std::uint32_t>)>>
   void emplace(F&& f) {
     assert(vt_ == nullptr && "emplace into an occupied EventFn");
     if constexpr (fitsInline<Fn>()) {
@@ -63,13 +67,14 @@ class EventFn {
     }
   }
 
-  void operator()() { vt_->invoke(buf_); }
+  /// Run the callable, passing `member` if it takes an index.
+  void operator()(std::uint32_t member) { vt_->invoke(buf_, member); }
 
   explicit operator bool() const noexcept { return vt_ != nullptr; }
 
  private:
   struct VTable {
-    void (*invoke)(void* buf);
+    void (*invoke)(void* buf, std::uint32_t member);
     void (*destroy)(void* buf);
   };
 
@@ -80,8 +85,17 @@ class EventFn {
   }
 
   template <typename Fn>
-  static void invokeInline(void* buf) {
-    (*std::launder(reinterpret_cast<Fn*>(buf)))();
+  static void call(Fn& f, std::uint32_t member) {
+    if constexpr (std::is_invocable_v<Fn&, std::uint32_t>) {
+      f(member);
+    } else {
+      f();
+    }
+  }
+
+  template <typename Fn>
+  static void invokeInline(void* buf, std::uint32_t member) {
+    call(*std::launder(reinterpret_cast<Fn*>(buf)), member);
   }
   template <typename Fn>
   static void destroyInline(void* buf) {
@@ -89,8 +103,8 @@ class EventFn {
   }
 
   template <typename Fn>
-  static void invokeHeap(void* buf) {
-    (**std::launder(reinterpret_cast<Fn**>(buf)))();
+  static void invokeHeap(void* buf, std::uint32_t member) {
+    call(**std::launder(reinterpret_cast<Fn**>(buf)), member);
   }
   template <typename Fn>
   static void destroyHeap(void* buf) {

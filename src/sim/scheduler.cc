@@ -10,7 +10,8 @@ std::uint32_t Scheduler::vacantSlot() {
   return slotCount_;
 }
 
-EventId Scheduler::enqueue(Time at, std::uint32_t s, prof::Category cat) {
+EventId Scheduler::enqueue(Time at, std::uint32_t members, std::uint32_t s,
+                           prof::Category cat) {
   if (freeSlots_.empty()) {
     ++slotCount_;
   } else {
@@ -18,11 +19,14 @@ EventId Scheduler::enqueue(Time at, std::uint32_t s, prof::Category cat) {
   }
   Slot& slot = slotAt(s);
   ++slot.stamp;
+  slot.members = members;
   slot.cat = cat;
   slot.pending = true;
   slot.cancelled = false;
-  queue_.push(EventKey{at, nextSeq_++, s});
-  if (queue_.size() > queuePeak_) queuePeak_ = queue_.size();
+  queue_.push(EventKey{at, nextSeq_, s});
+  nextSeq_ += members;
+  queued_ += members;
+  if (queued_ > queuePeak_) queuePeak_ = queued_;
   return (EventId{slot.stamp} << 32) | (EventId{s} + 1);
 }
 
@@ -53,19 +57,26 @@ void Scheduler::runUntil(Time until) {
     const EventKey k = queue_.pop();
     // The slot's chunk never moves, so the closure can run where it lies
     // while the handler schedules more events. The slot is freed only
-    // after the closure returns; a handler cancelling its own id finds the
-    // slot no longer pending and does nothing.
+    // after its last member returns; a handler cancelling its own id finds
+    // the slot no longer pending and does nothing.
     Slot& slot = slotAt(k.slot);
     slot.pending = false;
     if (slot.cancelled) {
+      --queued_;
       --cancelledLive_;
       release(k.slot);
       continue;
     }
     now_ = k.at;
-    ++executed_;
-    if (prof_ != nullptr) prof_->dispatch(slot.cat);
-    slot.fn();
+    // Members hold sequence numbers [k.id, k.id + members), and every key
+    // pushed since has a larger one, so no other event can order between
+    // them.
+    for (std::uint32_t i = 0; i < slot.members; ++i) {
+      --queued_;
+      ++executed_;
+      if (prof_ != nullptr) prof_->dispatch(slot.cat);
+      slot.fn(i);
+    }
     release(k.slot);
   }
   // Time spent outside runUntil belongs to no category.

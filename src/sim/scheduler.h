@@ -22,23 +22,33 @@ inline constexpr EventId kInvalidEvent = 0;
 /// Single-threaded discrete-event scheduler.
 ///
 /// Events at equal timestamps fire in scheduling (FIFO) order, which keeps
-/// runs deterministic. The pending set is an EventQueue: a heap of
-/// same-timestamp runs of 24-byte keys, so a broadcast's burst of
-/// equal-time receiver events costs one heap push and one sift, not one
-/// per receiver. Each event is still dispatched on its own.
+/// runs deterministic. The pending set is an EventQueue, a binary heap of
+/// 24-byte (at, seq, slot) keys.
+///
+/// An event *group* (scheduleGroup) is `count` events at one instant that
+/// share one closure slot and one key and take the consecutive sequence
+/// numbers [seq, seq + count). runUntil dispatches the members one by one:
+/// each leaves the pending count, bumps executedCount() and is charged to
+/// the profiler just before it runs, exactly as a single event would.
+/// scheduleAt is a group of one, so there is one dispatch loop. A group's
+/// members run back to back: anything a member schedules takes a larger
+/// sequence number, so it orders after the group's last member even at the
+/// same instant. A broadcast's receptions are such a group (DESIGN.md
+/// "Engine architecture").
 ///
 /// Everything else about an event lives in its closure slot: the closure,
-/// its category, a generation stamp and pending/cancelled flags. Slots sit
-/// in fixed-size chunks that never move and are recycled through a free
-/// list. scheduleAt builds the closure directly in a slot and runUntil
-/// invokes it there, freeing the slot once it returns, so a closure is
-/// never relocated and a handler may schedule freely while it runs.
-/// Cancellation is lazy: cancel() flags the slot, and the key is skipped
-/// when it reaches the head of the queue, which is when the closure is
-/// destroyed and its slot freed. An EventId names a slot and the stamp the
-/// slot had when the event was scheduled, so cancelling a fired, cancelled
-/// or reused handle is a no-op and pendingCount() stays exact, with no
-/// per-id state: the scheduler's memory is bounded by the queue's peak.
+/// its category, its member count, a generation stamp and
+/// pending/cancelled flags. Slots sit in fixed-size chunks that never move
+/// and are recycled through a free list. scheduleAt builds the closure
+/// directly in a slot and runUntil invokes it there, freeing the slot once
+/// its last member returns, so a closure is never relocated and a handler
+/// may schedule freely while it runs. Cancellation is lazy: cancel() flags
+/// the slot, and the key is skipped when it reaches the head of the queue,
+/// which is when the closure is destroyed and its slot freed. An EventId
+/// names a slot and the stamp the slot had when the event was scheduled,
+/// so cancelling a fired, cancelled or reused handle is a no-op and
+/// pendingCount() stays exact, with no per-id state: the scheduler's
+/// memory is bounded by the queue's peak.
 class Scheduler {
  public:
   Scheduler() = default;
@@ -57,7 +67,21 @@ class Scheduler {
     assert(at >= now_ && "cannot schedule in the past");
     const std::uint32_t s = vacantSlot();
     slotAt(s).fn.emplace(std::forward<F>(fn));
-    return enqueue(at, s, cat);
+    return enqueue(at, 1, s, cat);
+  }
+
+  /// Schedule `count` (> 0) events at `at` that run `fn(i)` for
+  /// i = 0 .. count-1, in that order, with nothing in between. Each member
+  /// counts as one event everywhere a single event would. A group has no
+  /// handle: it cannot be cancelled.
+  template <typename F>
+  void scheduleGroup(Time at, std::uint32_t count, F&& fn,
+                     prof::Category cat = prof::Category::kOther) {
+    assert(at >= now_ && "cannot schedule in the past");
+    assert(count > 0 && "a group needs a member");
+    const std::uint32_t s = vacantSlot();
+    slotAt(s).fn.emplace(std::forward<F>(fn));
+    enqueue(at, count, s, cat);
   }
 
   /// Schedule `fn` to run `delay` after now().
@@ -81,20 +105,21 @@ class Scheduler {
 
   // --- introspection ---
 
-  /// Number of events executed so far (for microbenchmarks / sanity
-  /// checks); cancelled entries are popped without dispatching and do not
-  /// count.
+  /// Number of events (group members each count) executed so far;
+  /// cancelled entries are popped without dispatching and do not count.
   std::uint64_t executedCount() const { return executed_; }
   /// Number of events still queued and not cancelled.
-  std::size_t pendingCount() const { return queue_.size() - cancelledLive_; }
-  /// Largest raw queue size ever reached (cancelled entries included —
-  /// this is the memory high-water mark). Tracked unconditionally.
+  std::size_t pendingCount() const { return queued_ - cancelledLive_; }
+  /// Largest number of queued events ever reached (cancelled entries
+  /// included). Tracked unconditionally.
   std::size_t queueHighWater() const { return queuePeak_; }
   /// Timestamp of the next entry that would dispatch (cancelled entries
   /// included until they are lazily popped), or Time::max() when idle.
+  /// Meant for between runUntil calls: inside a group member's handler it
+  /// does not see the group's later members.
   Time nextEventAt();
   /// Closure slots handed out so far. A slot is freed when its cancelled
-  /// key is popped or its closure returns, so this stays at most
+  /// key is popped or its last member returns, so this stays at most
   /// queueHighWater() + 1 (the running closure holds its slot while it
   /// schedules).
   std::size_t slotCount() const { return slotCount_; }
@@ -119,6 +144,7 @@ class Scheduler {
     /// so a stale handle could match again only after 2^32 reuses of its
     /// one slot while the handle is still held.
     std::uint32_t stamp = 0;
+    std::uint32_t members = 0;  // events the key stands for (1 unless a group)
     prof::Category cat = prof::Category::kOther;
     bool pending = false;    // scheduled and its key not yet popped
     bool cancelled = false;  // cancelled while pending
@@ -132,15 +158,16 @@ class Scheduler {
   /// The slot the next event will take (the most recently freed one, else
   /// a fresh one), without claiming it.
   std::uint32_t vacantSlot();
-  /// Claim slot `s` (from vacantSlot(), closure already in place), stamp
-  /// it and push its key.
-  EventId enqueue(Time at, std::uint32_t s, prof::Category cat);
+  /// Claim slot `s` (from vacantSlot(), closure already in place) for
+  /// `members` events, stamp it and push its key.
+  EventId enqueue(Time at, std::uint32_t members, std::uint32_t s,
+                  prof::Category cat);
   /// Destroy the slot's closure and put it on the free list.
   void release(std::uint32_t s);
 
   Time now_ = Time::zero();
-  /// Sequence number of the next key: the FIFO tie-break among equal
-  /// timestamps.
+  /// Sequence number of the next event: the FIFO tie-break among equal
+  /// timestamps. A group takes one per member.
   std::uint64_t nextSeq_ = 1;
   std::uint64_t executed_ = 0;
   EventQueue queue_;
@@ -150,6 +177,9 @@ class Scheduler {
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slotCount_ = 0;
   std::vector<std::uint32_t> freeSlots_;
+  /// Events queued and not yet dispatched or dropped: a group's members
+  /// leave one at a time, just before each runs.
+  std::size_t queued_ = 0;
   /// Keys in queue_ whose slot is flagged cancelled (kept exact so
   /// pendingCount() cannot underflow).
   std::size_t cancelledLive_ = 0;

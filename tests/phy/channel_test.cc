@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "src/mobility/mobility_model.h"
 #include "src/phy/radio.h"
@@ -172,6 +174,57 @@ TEST(ChannelTest, TransmitterDoesNotHearItself) {
   a.startTx(makeFrame(0, net::kBroadcast));
   fx.sched.run();
   EXPECT_EQ(got, 0);
+}
+
+// A transmission heard by k radios is one rxStart group and one rxEnd
+// group: the k starts run back to back, then the k ends, in attach order.
+// One receiver goes down in between, so its reception is lost, but its
+// rxEnd still runs and the last rxEnd frees the in-flight record for the
+// next transmission.
+TEST(ChannelTest, ReceptionsRunAsOneStartAndOneEndGroupPerTransmission) {
+  Fixture fx;
+  Radio& a = fx.addRadio(0, {0, 0});
+  constexpr int kReceivers = 4;
+  std::vector<Radio*> rx;
+  for (int i = 1; i <= kReceivers; ++i) {
+    rx.push_back(&fx.addRadio(static_cast<net::NodeId>(i), {50.0 * i, 0}));
+  }
+  // (receiver, executedCount()) at each delivery.
+  std::vector<std::pair<net::NodeId, std::uint64_t>> delivered;
+  for (Radio* r : rx) {
+    r->setReceiveHandler([&fx, &delivered, r](const mac::Frame&) {
+      delivered.emplace_back(r->id(), fx.sched.executedCount());
+    });
+  }
+  const Time end = a.startTx(makeFrame(0, net::kBroadcast));
+  const Time start = fx.cfg.propagationDelay;
+  // Scheduled after the transmission, so it runs after every rxStart at
+  // that instant and before any rxEnd.
+  std::uint64_t afterStarts = 0;
+  std::size_t pendingAfterStarts = 0;
+  fx.sched.scheduleAt(start, [&] {
+    afterStarts = fx.sched.executedCount();
+    pendingAfterStarts = fx.sched.pendingCount();
+  });
+  fx.sched.scheduleAt(start + Time::micros(50), [&] { rx[1]->setUp(false); });
+  EXPECT_EQ(fx.sched.pendingCount(), 2u * kReceivers + 2u);
+  fx.sched.run();
+
+  EXPECT_EQ(afterStarts, kReceivers + 1u);
+  EXPECT_EQ(pendingAfterStarts, kReceivers + 1u);  // the ends and the crash
+  // Events 1-4 are the starts, 5 the probe, 6 the crash and 7-10 the ends;
+  // radio 2's end (event 8) finds its reception gone.
+  EXPECT_EQ(delivered,
+            (std::vector<std::pair<net::NodeId, std::uint64_t>>{
+                {1, 7}, {3, 9}, {4, 10}}));
+  EXPECT_EQ(fx.sched.now(), end + fx.cfg.propagationDelay);
+  EXPECT_EQ(fx.channel.inFlightRecords(), 1u);
+
+  a.startTx(makeFrame(0, net::kBroadcast));
+  fx.sched.run();
+  EXPECT_EQ(delivered.size(), 6u);
+  EXPECT_EQ(fx.channel.inFlightRecords(), 1u);  // reused, not grown
+  EXPECT_EQ(fx.sched.slotCount(), 4u);  // two groups and two singles
 }
 
 }  // namespace

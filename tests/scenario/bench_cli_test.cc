@@ -40,8 +40,6 @@ TEST(BenchCliTest, SeedsAndJobsReachRunnerOptions) {
   EXPECT_EQ(opts.replications, 3);
   EXPECT_EQ(opts.jobs, 2);
   EXPECT_FALSE(opts.progress);
-  EXPECT_EQ(cli.replications(), 3);
-  EXPECT_EQ(cli.jobs(), 2);
 }
 
 }  // namespace

@@ -276,7 +276,7 @@ TEST(RunnerTest, RejectsNonPositiveReplications) {
   EXPECT_THROW(runPlan(plan, opts), std::invalid_argument);
 }
 
-TEST(RunnerTest, SweepResultAtFindsLabelOrThrows) {
+TEST(RunnerTest, SweepResultPointsKeepPlanOrderAndLabels) {
   ExperimentPlan plan = tinyPausePlan(tinyConfig());
   RunnerOptions opts;
   opts.jobs = 1;
@@ -284,9 +284,11 @@ TEST(RunnerTest, SweepResultAtFindsLabelOrThrows) {
     return fakeRun(point.index, rep);
   };
   const SweepResult result = runPlan(plan, opts);
-  EXPECT_DOUBLE_EQ(result.at("tiny_pause_s=0").deliveryFraction.mean(), 0.10);
-  EXPECT_DOUBLE_EQ(result.at("tiny_pause_s=2").deliveryFraction.mean(), 0.20);
-  EXPECT_THROW(result.at("nope"), std::out_of_range);
+  ASSERT_EQ(result.points.size(), 2u);
+  EXPECT_EQ(result.points[0].point.label, "tiny_pause_s=0");
+  EXPECT_EQ(result.points[1].point.label, "tiny_pause_s=2");
+  EXPECT_DOUBLE_EQ(result.points[0].agg.deliveryFraction.mean(), 0.10);
+  EXPECT_DOUBLE_EQ(result.points[1].agg.deliveryFraction.mean(), 0.20);
 }
 
 TEST(RunnerTest, PointTableAndPivotTableFollowPlanOrder) {
@@ -309,8 +311,8 @@ TEST(RunnerTest, PointTableAndPivotTableFollowPlanOrder) {
             "a1,b2,0.200\n"
             "a2,b1,0.300\n"
             "a2,b2,0.400\n");
-  EXPECT_EQ(pivotTable(plan, result, "delivery", "a \\ b").csv(),
-            "a \\ b,b1,b2\n"
+  EXPECT_EQ(pivotTable(plan, result, "delivery").csv(),
+            "a,b1,b2\n"
             "a1,0.100,0.200\n"
             "a2,0.300,0.400\n");
   EXPECT_THROW(pivotTable(plan, result, "no_such_metric"),

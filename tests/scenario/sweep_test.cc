@@ -104,15 +104,18 @@ TEST(SweepTest, LabelsAreSanitizedPerComponent) {
   EXPECT_EQ(pts[0].label, "my_plan_pause_s=0__always_moving_");
 }
 
-TEST(SweepTest, CoordinateLooksUpByAxisName) {
+// Tables read coordinates by position: coordinates[i] is the value label
+// on plan.axes()[i].
+TEST(SweepTest, CoordinatesFollowAxisOrder) {
   ExperimentPlan plan("coord", tinyConfig());
   plan.axis("a", {AxisValue{"a1", {}}})
       .axis("b", {AxisValue{"b1", {}}});
   const std::vector<SweepPoint> pts = plan.points();
   ASSERT_EQ(pts.size(), 1u);
-  EXPECT_EQ(pts[0].coordinate(plan, "a"), "a1");
-  EXPECT_EQ(pts[0].coordinate(plan, "b"), "b1");
-  EXPECT_EQ(pts[0].coordinate(plan, "nope"), "");
+  ASSERT_EQ(plan.axes().size(), 2u);
+  EXPECT_EQ(plan.axes()[0].name, "a");
+  EXPECT_EQ(plan.axes()[1].name, "b");
+  EXPECT_EQ(pts[0].coordinates, (std::vector<std::string>{"a1", "b1"}));
 }
 
 TEST(SweepTest, FilterKeepsOnlyMatchingValue) {

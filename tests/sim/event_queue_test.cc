@@ -1,8 +1,9 @@
 // Pending-set contract: the event queue must pop in strictly ascending
 // (at, id) order — the FIFO-among-ties rule every determinism guarantee in
 // the simulator rests on. The reference is an ordered std::set of
-// (at, id) pairs, which shares no code with the heap of runs it checks.
-// "Both kinds" in the test names means the queue and that reference.
+// (at, id) pairs, which shares no code with the heap it checks. "Both
+// kinds" in the test names means the queue and that reference. The
+// tie-heavy cases below interleave, drain and refill equal timestamps.
 #include "src/sim/event_queue.h"
 
 #include <gtest/gtest.h>
@@ -166,10 +167,10 @@ class Checked {
 };
 
 TEST(EventQueueTest, TransmitShapedAlternatingRunsPopInOrder) {
-  // Channel::transmit's shape: per receiver, one push at now+1us (rxStart)
-  // then one at end+1us (rxEnd), so pushes alternate between two
+  // Per-receiver phy fan-out: one push at now+1us (rxStart) then one at
+  // end+1us (rxEnd) per receiver, so pushes alternate between two
   // timestamps. Airtimes come from a small set, so ends of different
-  // transmissions coincide and one timestamp collects several runs.
+  // transmissions coincide and one timestamp collects several bursts.
   Checked c;
   const std::array<std::int64_t, 3> airtimeUs{100, 200, 300};
   Time now = Time::zero();
@@ -186,9 +187,8 @@ TEST(EventQueueTest, TransmitShapedAlternatingRunsPopInOrder) {
 }
 
 TEST(EventQueueTest, ThreeWayInterleaveOpensSecondRunsForOneTimestamp) {
-  // Three timestamps pushed round robin: each push falls outside the
-  // two-run window, so every timestamp ends up with many runs. Their FIFO
-  // order must still hold across runs.
+  // Three timestamps pushed round robin, so the ties at each timestamp
+  // are interleaved with the others'. Their FIFO order must still hold.
   Checked c;
   const std::array<Time, 3> at{Time::micros(30), Time::micros(10),
                                Time::micros(20)};
@@ -203,12 +203,11 @@ TEST(EventQueueTest, PushesAtTheDrainingRunsTimestampQueueBehindIt) {
   for (int i = 0; i < 4; ++i) c.push(t);
   c.push(Time::micros(9));
   c.pop();
-  // The run being drained is still open: these join its tail.
+  // Ties pushed at the timestamp being drained order behind it.
   c.push(t);
   c.push(t);
   c.pop();
-  // Two later timestamps push the draining run out of the window, so the
-  // next key at t opens a second run while the first is still at the top.
+  // More ties at t, after keys at two later timestamps.
   c.push(Time::micros(7));
   c.push(Time::micros(8));
   c.push(t);
@@ -221,12 +220,12 @@ TEST(EventQueueTest, RetiredRunThenNewPushAtSameTimestamp) {
   const Time t = Time::micros(5);
   for (int i = 0; i < 3; ++i) c.push(t);
   c.push(Time::micros(6));
-  for (int i = 0; i < 3; ++i) c.pop();  // the run at t retires
-  c.push(t);                            // opens a fresh run at t
-  c.push(Time::micros(6));              // joins the still-open run
+  for (int i = 0; i < 3; ++i) c.pop();  // t drains
+  c.push(t);                            // a fresh key at t
+  c.push(Time::micros(6));              // ties the pending key at 6us
   c.push(t);
   c.drain();
-  // Reuse of freed runs and nodes after a full drain.
+  // Refill after a full drain.
   for (int i = 0; i < 5; ++i) {
     c.push(t);
     c.push(Time::micros(6));
@@ -235,8 +234,8 @@ TEST(EventQueueTest, RetiredRunThenNewPushAtSameTimestamp) {
 }
 
 TEST(EventQueueTest, RandomTieHeavyOperationsMatchTheOracle) {
-  // Few distinct timestamps, random push/pop mix: exercises joins, window
-  // evictions, in-place head advances and run retirement together.
+  // Few distinct timestamps, random push/pop mix: ties pushed while their
+  // timestamp is at the top, below it and already drained.
   Checked c;
   std::uint64_t x = 0x2545f4914f6cdd1dull;
   Time now = Time::zero();
@@ -255,9 +254,9 @@ TEST(EventQueueTest, RandomTieHeavyOperationsMatchTheOracle) {
 
 TEST(EventQueueTest, SchedulerFanoutWithMidRunCancelStaysExact) {
   // One transmission fans out to 8 receivers: 8 starts at 1us and 8 ends
-  // at 50us, pushed alternately. A start in the middle of its run is
+  // at 50us, pushed alternately. A start in the middle of the burst is
   // cancelled, and one start handler schedules a zero-delay event, which
-  // queues behind the run it is drained from.
+  // runs after the burst's last start.
   Scheduler sched;
   std::vector<int> log;
   std::vector<EventId> starts;
@@ -272,7 +271,7 @@ TEST(EventQueueTest, SchedulerFanoutWithMidRunCancelStaysExact) {
   });
   sched.runUntil(Time::zero());
   EXPECT_EQ(sched.pendingCount(), 16u);
-  EXPECT_EQ(sched.queueHighWater(), 16u);  // events, not runs
+  EXPECT_EQ(sched.queueHighWater(), 16u);
   sched.cancel(starts[4]);
   EXPECT_EQ(sched.pendingCount(), 15u);
   EXPECT_EQ(sched.nextEventAt(), Time::micros(1));

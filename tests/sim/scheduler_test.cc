@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -314,6 +315,158 @@ TEST(SchedulerTest, ScheduleAfterUsesCurrentTime) {
   });
   s.run();
   EXPECT_EQ(when, Time::seconds(15));
+}
+
+// --- event groups ---
+//
+// A group must be indistinguishable from its members scheduled one by one
+// with scheduleAt: the same dispatch order and, at every dispatch, the
+// same executedCount(), pendingCount() and queueHighWater().
+
+/// What a handler sees when it runs: its name, now(), executedCount(),
+/// pendingCount() and queueHighWater().
+using Probe =
+    std::tuple<std::string, Time, std::uint64_t, std::size_t, std::size_t>;
+
+/// Runs one scheduling program either with scheduleGroup or, as the
+/// reference, with one scheduleAt per group member, logging a Probe at
+/// every dispatch.
+class Twin {
+ public:
+  explicit Twin(bool grouped) : grouped_(grouped) {}
+
+  void group(Time at, std::uint32_t n, const std::string& name,
+             std::function<void(std::uint32_t)> body = {}) {
+    if (grouped_) {
+      s.scheduleGroup(at, n, [this, name, body](std::uint32_t i) {
+        member(name, i, body);
+      });
+      return;
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+      s.scheduleAt(at, [this, name, body, i] { member(name, i, body); });
+    }
+  }
+  EventId single(Time at, const std::string& name,
+                 std::function<void()> body = {}) {
+    return s.scheduleAt(at, [this, name, body] {
+      record(name);
+      if (body) body();
+    });
+  }
+
+  Scheduler s;
+  std::vector<Probe> log;
+
+ private:
+  void record(const std::string& name) {
+    log.emplace_back(name, s.now(), s.executedCount(), s.pendingCount(),
+                     s.queueHighWater());
+  }
+  void member(const std::string& name, std::uint32_t i,
+              const std::function<void(std::uint32_t)>& body) {
+    record(name + "#" + std::to_string(i));
+    if (body) body(i);
+  }
+  bool grouped_;
+};
+
+void expectSame(Twin& grouped, Twin& reference) {
+  EXPECT_EQ(grouped.log, reference.log);
+  EXPECT_EQ(grouped.s.now(), reference.s.now());
+  EXPECT_EQ(grouped.s.executedCount(), reference.s.executedCount());
+  EXPECT_EQ(grouped.s.pendingCount(), reference.s.pendingCount());
+  EXPECT_EQ(grouped.s.queueHighWater(), reference.s.queueHighWater());
+  EXPECT_EQ(grouped.s.nextEventAt(), reference.s.nextEventAt());
+}
+
+std::vector<std::string> names(const std::vector<Probe>& log) {
+  std::vector<std::string> out;
+  for (const Probe& p : log) out.push_back(std::get<0>(p));
+  return out;
+}
+
+// A zero-delay event scheduled by member 1 takes a later sequence number
+// than every member, so it runs after the group's last member, as it would
+// behind single events.
+TEST(SchedulerGroupTest, ZeroDelayEventFromAMemberRunsAfterTheLastMember) {
+  const auto program = [](Twin& t) {
+    t.single(Time::micros(5), "before");
+    t.group(Time::micros(5), 4, "g", [&t](std::uint32_t i) {
+      if (i == 1) t.single(t.s.now(), "zero-delay");
+    });
+    t.single(Time::micros(5), "after");
+    t.group(Time::micros(9), 3, "late");
+  };
+  Twin grouped(true);
+  Twin reference(false);
+  program(grouped);
+  program(reference);
+  EXPECT_EQ(grouped.s.slotCount(), 4u);  // one slot per group
+  EXPECT_EQ(reference.s.slotCount(), 9u);
+  expectSame(grouped, reference);
+  grouped.s.run();
+  reference.s.run();
+  expectSame(grouped, reference);
+  EXPECT_EQ(names(grouped.log),
+            (std::vector<std::string>{"before", "g#0", "g#1", "g#2", "g#3",
+                                      "after", "zero-delay", "late#0",
+                                      "late#1", "late#2"}));
+  EXPECT_EQ(grouped.s.executedCount(), 10u);
+  EXPECT_EQ(grouped.s.pendingCount(), 0u);
+}
+
+TEST(SchedulerGroupTest, RunUntilStopsBeforeTheGroupsInstant) {
+  const auto program = [](Twin& t) {
+    t.single(Time::micros(3), "a");
+    t.group(Time::micros(10), 5, "g");
+    t.single(Time::micros(20), "b");
+  };
+  Twin grouped(true);
+  Twin reference(false);
+  program(grouped);
+  program(reference);
+  for (const Time until : {Time::micros(9), Time::micros(10),
+                           Time::micros(19), Time::max()}) {
+    grouped.s.runUntil(until);
+    reference.s.runUntil(until);
+    expectSame(grouped, reference);
+    if (until == Time::micros(9)) {
+      EXPECT_EQ(grouped.s.pendingCount(), 6u);
+      EXPECT_EQ(grouped.s.nextEventAt(), Time::micros(10));
+    }
+  }
+  EXPECT_EQ(grouped.s.executedCount(), 7u);
+}
+
+// Cancelled singles at the group's instant, pushed before and after it,
+// are skipped without disturbing the members' counts; one is cancelled up
+// front, the other from a handler.
+TEST(SchedulerGroupTest, CancelledSinglesAroundAGroupLeaveItsCountsExact) {
+  const auto program = [](Twin& t) {
+    const EventId before = t.single(Time::micros(5), "cancelled-before");
+    t.group(Time::micros(5), 3, "g");
+    const EventId after = t.single(Time::micros(5), "cancelled-after");
+    t.single(Time::micros(5), "kept");
+    t.s.cancel(before);
+    t.single(Time::micros(1), "canceller", [&t, after] { t.s.cancel(after); });
+  };
+  Twin grouped(true);
+  Twin reference(false);
+  program(grouped);
+  program(reference);
+  expectSame(grouped, reference);
+  EXPECT_EQ(grouped.s.pendingCount(), 6u);
+  EXPECT_EQ(grouped.s.queueHighWater(), 7u);
+  for (const Time until : {Time::micros(1), Time::max()}) {
+    grouped.s.runUntil(until);
+    reference.s.runUntil(until);
+    expectSame(grouped, reference);
+  }
+  EXPECT_EQ(names(grouped.log),
+            (std::vector<std::string>{"canceller", "g#0", "g#1", "g#2",
+                                      "kept"}));
+  EXPECT_EQ(grouped.s.pendingCount(), 0u);
 }
 
 }  // namespace
